@@ -11,25 +11,7 @@ executable exposes all of it for scripted runs.
 
 __version__ = "0.1.0"
 
-from .arena import (
-    Allocation,
-    Arena,
-    ArenaConfig,
-    ArenaCounters,
-    LARGE_CLASS,
-    ReplayStats,
-    SizeClass,
-    build_class_table,
-)
-from .bsi import (
-    ACCEPT,
-    BSI_PERIOD,
-    QUARANTINE,
-    is_bsi_address,
-    range_contains_bsi,
-    range_contains_bsi_counted,
-    slot_verdict,
-)
+from .arena import Arena, ArenaConfig
 from .errors import (
     AccessError,
     BenchError,
@@ -39,84 +21,20 @@ from .errors import (
     RumaError,
     TraceError,
 )
-from .membench import (
-    AccessClass,
-    BenchReport,
-    BenchSpec,
-    full_report,
-    plan_offsets,
-    run_bench,
-    run_copy_bench,
-)
-from .spray import (
-    AttackScenario,
-    MonteCarloResult,
-    ShiftOutcome,
-    SprayPattern,
-    chained_success,
-    classify_leaked_words,
-    enumerate_shift_outcomes,
-    monte_carlo,
-    read_at_shift,
-    single_deref_success,
-    words_at_shift,
-)
-from .trace import (
-    TraceEvent,
-    generate_trace,
-    normalize_trace,
-    parse_trace,
-    replay,
-    replay_into,
-    serialize_trace,
-)
+from .spray import AttackScenario, SprayPattern, chained_success, monte_carlo
 
 __all__ = [
-    "ACCEPT",
-    "AccessClass",
     "AccessError",
-    "Allocation",
     "Arena",
     "ArenaConfig",
-    "ArenaCounters",
     "AttackScenario",
-    "BSI_PERIOD",
     "BenchError",
-    "BenchReport",
-    "BenchSpec",
     "CapacityError",
     "ConfigError",
     "HandleError",
-    "LARGE_CLASS",
-    "MonteCarloResult",
-    "QUARANTINE",
-    "ReplayStats",
     "RumaError",
-    "ShiftOutcome",
-    "SizeClass",
     "SprayPattern",
     "TraceError",
-    "TraceEvent",
-    "build_class_table",
     "chained_success",
-    "classify_leaked_words",
-    "enumerate_shift_outcomes",
-    "full_report",
-    "generate_trace",
-    "is_bsi_address",
     "monte_carlo",
-    "normalize_trace",
-    "parse_trace",
-    "plan_offsets",
-    "range_contains_bsi",
-    "range_contains_bsi_counted",
-    "read_at_shift",
-    "replay",
-    "replay_into",
-    "run_bench",
-    "run_copy_bench",
-    "serialize_trace",
-    "single_deref_success",
-    "slot_verdict",
-    "words_at_shift",
 ]

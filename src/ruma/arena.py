@@ -10,6 +10,11 @@ fits a page spans a page border. Requests too big for the class pools are
 carved page-aligned from a separate region at the top of the arena, with
 the random offset applied and no border handling beyond that.
 
+A 32-bit arena with ``filter_bsi`` withholds any slot whose outgoing span
+would cover a byte-shift-independent address (see :mod:`ruma.bsi`). Spans
+of ``BSI_PERIOD`` bytes or more are exempt and never checked: every such
+span covers one, so no placement could pass the filter.
+
 Arenas come in two flavors. A simulation arena manages a purely virtual
 address range and never touches real memory, which makes 32-bit address
 space experiments cheap inside a 64-bit process. A backed arena
@@ -25,6 +30,7 @@ independent. Nothing here locks.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,6 +62,12 @@ def _is_pow2(n: int) -> bool:
 
 def _next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
+
+
+def _spans_border(start: int, size: int, border: int) -> bool:
+    if size <= 1:
+        return False
+    return start // border != (start + size - 1) // border
 
 
 _BOOL_WORDS = {
@@ -267,15 +279,14 @@ class Arena:
         self._end = self._base + usable
         self._run_bump = self._base  # class runs grow upward
         self._large_bump = self._end  # large carving grows downward
-        n = len(self._table)
-        self._free_slots = [[] for _ in range(n)]
-        self._quarantine = [[] for _ in range(n)]
-        self._large_free = {}  # span pages -> list of span bases
-        self._large_quarantine = []  # (base, span_pages)
+        # Free and withheld (BSI-quarantined) slots per bin. A bin key is the
+        # class index for class slots and minus the page count for large spans.
+        self._free = defaultdict(list)
+        self._quarantine = defaultdict(list)
+        self._filter = config.filter_bsi and config.address_space_bits == 32
         self._live = {}
         self._next_id = 1
-        self._offset_buf = None
-        self._offset_pos = 0
+        self._offsets = iter(())
         self._mem = bytearray(usable) if backed else None
 
         self.counters = ArenaCounters()
@@ -283,10 +294,8 @@ class Arena:
         self._reserved_bytes = 0
         self._peak_reserved = 0
         self._offset_hist = [0] * config.pointer_width
-        self._line_straddles = 0
-        self._page_straddles = 0
-        self._class_live = [0] * n
-        self._class_capacity = [0] * n
+        self._class_live = [0] * len(self._table)
+        self._class_capacity = [0] * len(self._table)
 
     # -- construction helpers -------------------------------------------
 
@@ -300,14 +309,14 @@ class Arena:
         return cfg.page_size * (1 + int(self._rng.integers(0, pages)))
 
     def _next_offset(self) -> int:
-        if self._offset_buf is None or self._offset_pos >= len(self._offset_buf):
-            self._offset_buf = self._rng.integers(
+        try:
+            return next(self._offsets)
+        except StopIteration:
+            batch = self._rng.integers(
                 0, self._cfg.pointer_width, size=_OFFSET_BATCH, dtype=np.int64
             )
-            self._offset_pos = 0
-        off = int(self._offset_buf[self._offset_pos])
-        self._offset_pos += 1
-        return off
+            self._offsets = iter(batch.tolist())
+            return next(self._offsets)
 
     # -- class/placement machinery --------------------------------------
 
@@ -339,79 +348,52 @@ class Arena:
         self.counters.bsi_candidates += checked
         return hit
 
-    def _filter_active(self, size: int) -> bool:
-        cfg = self._cfg
-        return cfg.filter_bsi and cfg.address_space_bits == 32 and size < BSI_PERIOD
+    def _key(self, ci: int, size: int) -> int:
+        """Bin of a chunk: its class index, or minus its page count when it
+        is large. The pad is always counted, so that randomize on and off
+        keep identical geometry."""
+        if ci != LARGE_CLASS:
+            return ci
+        return -max(1, -(-(size + self._cfg.pointer_width) // self._cfg.page_size))
 
-    def _carve_run(self, ci: int) -> int:
-        cls = self._table[ci]
+    def _carve(self, key: int) -> int:
+        """Fresh slot for bin ``key``: a new page run for a class, whose
+        other slots go to the free list, or a new large span."""
         page = self._cfg.page_size
+        if key < 0:
+            span = -key * page
+            if self._large_bump - span < self._run_bump:
+                raise CapacityError(f"arena exhausted carving {-key} pages")
+            self._large_bump -= span
+            return self._large_bump
+        cls = self._table[key]
         if self._run_bump + page > self._large_bump:
             raise CapacityError(
                 f"arena exhausted carving a run for class {cls.max_size}"
             )
         run = self._run_bump
         self._run_bump += page
-        self._class_capacity[ci] += cls.slots_per_run
-        free = self._free_slots[ci]
-        for k in reversed(range(cls.slots_per_run)):
-            free.append(run + k * cls.stride)
-        return free.pop()
+        self._class_capacity[key] += cls.slots_per_run
+        last = run + (cls.slots_per_run - 1) * cls.stride
+        self._free[key].extend(range(last, run, -cls.stride))
+        return run
 
-    def _take_slot(self, ci: int, offset: int, size: int) -> int:
-        check = self._filter_active(size)
-        if check:
-            quarantined = self._quarantine[ci]
-            for i, slot in enumerate(quarantined):
-                if not self._filter_span(slot + offset, size):
-                    return quarantined.pop(i)
-        free = self._free_slots[ci]
+    def _place(self, key: int, offset: int, size: int) -> int:
+        """Slot for a ``size``-byte chunk at ``offset``: a withheld slot the
+        filter now passes, else the last freed slot, else a fresh one."""
+        free = self._free[key]
+        if not self._filter or size >= BSI_PERIOD:
+            return free.pop() if free else self._carve(key)
+        quarantined = self._quarantine[key]
+        for i, slot in enumerate(quarantined):
+            if not self._filter_span(slot + offset, size):
+                return quarantined.pop(i)
         while True:
-            slot = free.pop() if free else self._carve_run(ci)
-            if not check or not self._filter_span(slot + offset, size):
+            slot = free.pop() if free else self._carve(key)
+            if not self._filter_span(slot + offset, size):
                 return slot
-            self._quarantine[ci].append(slot)
+            quarantined.append(slot)
             self.counters.bsi_quarantined += 1
-
-    def _span_pages(self, size: int) -> int:
-        # Physical span of a carved chunk; the randomization pad is always
-        # laid out so that on/off modes keep identical geometry.
-        page = self._cfg.page_size
-        return max(1, -(-(size + self._cfg.pointer_width) // page))
-
-    def _carve_large(self, pages: int) -> int:
-        span = pages * self._cfg.page_size
-        if self._large_bump - span < self._run_bump:
-            raise CapacityError(f"arena exhausted carving {pages} pages")
-        self._large_bump -= span
-        return self._large_bump
-
-    def _take_large(self, offset: int, size: int) -> int:
-        pages = self._span_pages(size)
-        check = self._filter_active(size)
-        if check:
-            for i, (base, p) in enumerate(self._large_quarantine):
-                if p == pages and not self._filter_span(base + offset, size):
-                    del self._large_quarantine[i]
-                    return base
-        pool = self._large_free.get(pages)
-        while pool:
-            base = pool.pop()
-            if not check or not self._filter_span(base + offset, size):
-                return base
-            self._large_quarantine.append((base, pages))
-            self.counters.bsi_quarantined += 1
-        while True:
-            base = self._carve_large(pages)
-            if not check or not self._filter_span(base + offset, size):
-                return base
-            self._large_quarantine.append((base, pages))
-            self.counters.bsi_quarantined += 1
-
-    def _spans_border(self, start: int, size: int, border: int) -> bool:
-        if size <= 1:
-            return False
-        return start // border != (start + size - 1) // border
 
     # -- operations ------------------------------------------------------
 
@@ -447,13 +429,10 @@ class Arena:
             if ci != natural:
                 self.counters.promotions += 1
 
+        start = self._place(self._key(ci, size), offset, size) + offset
         if ci == LARGE_CLASS:
-            base = self._take_large(offset, size)
-            start = base + offset
             reserved = size + pad
         else:
-            slot = self._take_slot(ci, offset, size)
-            start = slot + offset
             reserved = self._table[ci].max_size + pad
             self._class_live[ci] += 1
 
@@ -466,14 +445,11 @@ class Arena:
         self._reserved_bytes += reserved
         self._peak_reserved = max(self._peak_reserved, self._reserved_bytes)
         self._offset_hist[offset] += 1
-        line_s = self._spans_border(start, size, cfg.cache_line)
-        page_s = self._spans_border(start, size, cfg.page_size)
-        self._line_straddles += line_s
-        self._page_straddles += page_s
         guarded = size + cfg.pointer_width
-        if guarded <= cfg.cache_line and line_s:
-            self.counters.line_rule_violations += 1
-        elif cfg.cache_line < guarded <= cfg.page_size and page_s:
+        if guarded <= cfg.cache_line:
+            if _spans_border(start, size, cfg.cache_line):
+                self.counters.line_rule_violations += 1
+        elif guarded <= cfg.page_size and _spans_border(start, size, cfg.page_size):
             self.counters.page_rule_violations += 1
         return rec
 
@@ -485,23 +461,19 @@ class Arena:
         self._release(rec)
 
     def _release(self, rec: Allocation) -> None:
-        cfg = self._cfg
         self._live_bytes -= rec.requested
         self._reserved_bytes -= rec.reserved
-        self._line_straddles -= self._spans_border(rec.start, rec.requested, cfg.cache_line)
-        self._page_straddles -= self._spans_border(rec.start, rec.requested, cfg.page_size)
-        slot = rec.start - rec.offset
-        if rec.size_class_index == LARGE_CLASS:
-            pages = self._span_pages(rec.requested)
-            self._large_free.setdefault(pages, []).append(slot)
-        else:
-            self._class_live[rec.size_class_index] -= 1
-            self._free_slots[rec.size_class_index].append(slot)
+        ci = rec.size_class_index
+        if ci != LARGE_CLASS:
+            self._class_live[ci] -= 1
+        self._free[self._key(ci, rec.requested)].append(rec.start - rec.offset)
 
     def realloc(self, alloc_id: int, new_size: int) -> Allocation:
         """Move ``alloc_id`` to a fresh placement of ``new_size`` bytes.
 
-        The old handle is consumed. In backed mode the first
+        The old handle is consumed. The new chunk is an ordinary randomized
+        one: an explicit alignment of the old chunk is not carried over, as
+        with C ``realloc`` of ``memalign``'d memory. In backed mode the first
         min(old, new) bytes are preserved.
         """
         rec = self._live.get(alloc_id)
@@ -549,6 +521,8 @@ class Arena:
         return len(self._live)
 
     def stats(self) -> ReplayStats:
+        cfg = self._cfg
+        live = self._live.values()
         per_class = [
             {
                 "max_size": cls.max_size,
@@ -565,8 +539,12 @@ class Arena:
             reserved_bytes=self._reserved_bytes,
             overhead_ratio=ratio,
             offset_histogram=list(self._offset_hist),
-            line_straddles=self._line_straddles,
-            page_straddles=self._page_straddles,
+            line_straddles=sum(
+                _spans_border(a.start, a.requested, cfg.cache_line) for a in live
+            ),
+            page_straddles=sum(
+                _spans_border(a.start, a.requested, cfg.page_size) for a in live
+            ),
             per_class=per_class,
             promotions=self.counters.promotions,
             aligned_allocs=self.counters.aligned_allocs,

@@ -16,19 +16,13 @@ BSI_PERIOD = 0x01010101  # distance between consecutive repeated-byte values
 HALFWORD_PERIOD = 0x00010001  # distance between repeated-halfword values
 ADDRESS_SPACE = 1 << 32
 
-ACCEPT = "accept"
-QUARANTINE = "quarantine"
-
 __all__ = [
-    "ACCEPT",
     "ADDRESS_SPACE",
     "BSI_PERIOD",
     "HALFWORD_PERIOD",
-    "QUARANTINE",
     "is_bsi_address",
     "range_contains_bsi",
     "range_contains_bsi_counted",
-    "slot_verdict",
 ]
 
 
@@ -92,18 +86,3 @@ def range_contains_bsi(start: int, length: int, *, strict: bool = False) -> bool
     """True when [start, start+length) covers a byte-shift-independent
     address. Any non-wrapping range of length >= 0x01010101 does."""
     return range_contains_bsi_counted(start, length, strict=strict)[0]
-
-
-def slot_verdict(
-    start: int, length: int, *, filter_enabled: bool = True, strict: bool = False
-) -> str:
-    """Decide whether a candidate span may be handed to a caller.
-
-    Returns ``"accept"`` when filtering is disabled or the span is clean,
-    ``"quarantine"`` when the span covers a BSI address.
-    """
-    if not filter_enabled:
-        return ACCEPT
-    if range_contains_bsi(start, length, strict=strict):
-        return QUARANTINE
-    return ACCEPT

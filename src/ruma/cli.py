@@ -10,6 +10,7 @@ byte-shift-independent address), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -148,7 +149,7 @@ def _cmd_replay(args) -> tuple[int, str]:
         overrides["randomize"] = args.randomize == "on"
     if args.filter_bsi is not None:
         overrides["filter_bsi"] = args.filter_bsi == "on"
-    config = ArenaConfig(**{**config.__dict__, **overrides})
+    config = dataclasses.replace(config, **overrides)
     with open(args.trace, "r", encoding="utf-8") as handle:
         events = parse_trace(handle)
     stats = replay(events, config)

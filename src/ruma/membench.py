@@ -225,7 +225,6 @@ def run_bench(
     report = BenchReport(cache_line=cache_line, page_size=page_size)
     seconds = {}
     for cls, off in offsets.items():
-        validate_offset(cls, off, spec.width, cache_line, page_size)
         view = np.ndarray(
             shape=(pages,), dtype=dtype, buffer=buf, offset=off, strides=(page_size,)
         )

@@ -17,7 +17,6 @@ across workers as long as per-worker seeds derive from the root seed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,18 +27,15 @@ __all__ = [
     "MonteCarloResult",
     "OTHER",
     "POINTER_LIKE",
-    "ShiftOutcome",
     "SprayPattern",
     "chained_success",
     "classify_leaked_words",
-    "enumerate_shift_outcomes",
     "monte_carlo",
     "read_at_shift",
     "single_deref_success",
     "words_at_shift",
 ]
 
-_ENUMERATION_LIMIT = 1 << 20  # largest shift-tuple space enumerated literally
 _Z99 = 0.99
 
 POINTER_LIKE = "pointer-like"
@@ -104,25 +100,12 @@ class AttackScenario:
         return range(0, self.pointer_width, self.granularity)
 
 
-@dataclass(frozen=True)
-class ShiftOutcome:
-    shift: int
-    read_value: int
-
-
 def read_at_shift(pattern: SprayPattern, shift: int) -> int:
     """Value read ``shift`` bytes into the infinite repetition of the pattern."""
     if not 0 <= shift < pattern.width:
         raise ValueError(f"shift must be in [0, {pattern.width}), got {shift}")
     window = (pattern.data * 2)[shift : shift + pattern.width]
     return int.from_bytes(window, "little")
-
-
-def enumerate_shift_outcomes(scenario: AttackScenario):
-    """All (shift, read value) pairs the defense can produce for one stage."""
-    return [
-        ShiftOutcome(s, read_at_shift(scenario.pattern, s)) for s in scenario.shifts
-    ]
 
 
 def _match_table(scenario: AttackScenario):
@@ -143,26 +126,10 @@ def single_deref_success(scenario: AttackScenario) -> float:
 
 
 def chained_success(scenario: AttackScenario) -> float:
-    """Exact success probability of ``chain_length`` independent stages.
-
-    Small shift-tuple spaces are enumerated outright; degenerate patterns
-    (every shift matches, or none does) and long chains use the product
-    form, which the enumeration equals stage by stage.
-    """
+    """Exact success probability of ``chain_length`` independent stages:
+    the single-stage odds raised to the chain length."""
     matches = _match_table(scenario)
-    hits, states = sum(matches), len(matches)
-    k = scenario.chain_length
-    if hits == 0:
-        return 0.0
-    if hits == states:
-        return 1.0
-    if k <= 8 and states**k <= _ENUMERATION_LIMIT:
-        good = 0
-        for tup in itertools.product(range(states), repeat=k):
-            if all(matches[i] for i in tup):
-                good += 1
-        return float(Fraction(good, states**k))
-    return float(Fraction(hits, states) ** k)
+    return float(Fraction(sum(matches), len(matches)) ** scenario.chain_length)
 
 
 @dataclass(frozen=True)

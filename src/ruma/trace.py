@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arena import Arena, ArenaConfig, ReplayStats
+from .arena import Arena, ArenaConfig, ReplayStats, _next_pow2
 from .errors import CapacityError, TraceError
 
 __all__ = [
     "TraceEvent",
     "generate_trace",
-    "normalize_trace",
     "parse_trace",
     "replay",
     "replay_into",
@@ -123,22 +122,6 @@ def serialize_trace(events) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def normalize_trace(text: str) -> str:
-    """Strip comments and blank lines, collapse token whitespace."""
-    lines = []
-    for raw in text.splitlines():
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            lines.append(" ".join(tokens))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _bucket_max(size: int) -> int:
-    if size <= 1:
-        return 1
-    return 1 << (size - 1).bit_length()
-
-
 def replay_into(arena: Arena, events) -> ReplayStats:
     """Run the events through ``arena`` and return the final stats,
     extended with peak reserved bytes and the power-of-two histogram of
@@ -151,7 +134,7 @@ def replay_into(arena: Arena, events) -> ReplayStats:
                 if ev.id in handles:
                     raise TraceError(f"id {ev.id!r} is already live", line=ev.line)
                 handles[ev.id] = arena.alloc(ev.size).id
-                histogram[_bucket_max(ev.size)] += 1
+                histogram[_next_pow2(ev.size)] += 1
             elif ev.kind == "free":
                 handle = handles.pop(ev.id, None)
                 if handle is None:
@@ -162,7 +145,7 @@ def replay_into(arena: Arena, events) -> ReplayStats:
                 if handle is None:
                     raise TraceError(f"realloc of unknown id {ev.id!r}", line=ev.line)
                 handles[ev.id] = arena.realloc(handle, ev.size).id
-                histogram[_bucket_max(ev.size)] += 1
+                histogram[_next_pow2(ev.size)] += 1
             else:
                 raise TraceError(f"unknown event kind {ev.kind!r}", line=ev.line)
         except CapacityError as exc:

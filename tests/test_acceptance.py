@@ -16,15 +16,13 @@ from ruma import (
     Arena,
     ArenaConfig,
     AttackScenario,
-    BenchSpec,
     SprayPattern,
     chained_success,
     monte_carlo,
-    plan_offsets,
-    run_bench,
-    single_deref_success,
 )
 from ruma.bsi import range_contains_bsi_counted
+from ruma.membench import BenchSpec, plan_offsets, run_bench
+from ruma.spray import single_deref_success
 from ruma.trace import generate_trace, replay_into
 
 import oracles

@@ -7,15 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from ruma import (
-    Arena,
-    ArenaConfig,
-    CapacityError,
-    ConfigError,
-    HandleError,
-    LARGE_CLASS,
-    build_class_table,
-)
+from ruma import Arena, ArenaConfig, CapacityError, ConfigError, HandleError
+from ruma.arena import LARGE_CLASS, build_class_table
+from ruma.bsi import BSI_PERIOD
 from ruma.errors import AccessError
 
 import oracles
@@ -286,6 +280,16 @@ def test_realloc_moves_and_consumes_old_handle():
         arena.realloc(new.id, 8)
 
 
+def test_realloc_returns_an_ordinary_randomized_chunk():
+    # like C realloc of memalign'd memory: the alignment is not carried over
+    arena = make_arena(rng_seed=1)
+    rec = arena.alloc(100, align=64)
+    assert rec.start % 64 == 0
+    new = arena.realloc(rec.id, 200)
+    assert new.start % arena.config.pointer_width == new.offset
+    assert arena.counters.aligned_allocs == 1
+
+
 def test_alloc_rejects_bad_sizes():
     arena = make_arena()
     with pytest.raises(ValueError):
@@ -322,15 +326,40 @@ def test_random_ops_keep_invariants():
             live.append(arena.realloc(victim.id, rng.randrange(0, 5000)))
         if step % 2500 == 0:
             oracles.assert_live_disjoint(arena.live_allocations())
-    oracles.assert_live_disjoint(arena.live_allocations())
+    live = arena.live_allocations()
+    oracles.assert_live_disjoint(live)
     assert arena.counters.line_rule_violations == 0
     assert arena.counters.page_rule_violations == 0
-    for rec in arena.live_allocations():
+    stats = arena.stats()
+    for border, straddles in (
+        (cfg.cache_line, stats.line_straddles),
+        (cfg.page_size, stats.page_straddles),
+    ):
+        assert straddles == sum(
+            oracles.spans_border(a.start, a.requested, border) for a in live
+        ) > 0
+    for rec in live:
         guarded = rec.requested + cfg.pointer_width
         if guarded <= cfg.cache_line:
             assert not oracles.spans_border(rec.start, rec.requested, cfg.cache_line)
         elif guarded <= cfg.page_size:
             assert not oracles.spans_border(rec.start, rec.requested, cfg.page_size)
+
+
+@pytest.mark.parametrize(
+    "size, at, violations, straddles",
+    [(24, 56, (1, 0), (1, 0)), (200, 4000, (0, 1), (1, 1))],
+    ids=["line", "page"],
+)
+def test_border_rule_violations_are_counted(monkeypatch, size, at, violations, straddles):
+    # force the chunk across the one border its size is guaranteed to avoid
+    arena = make_arena(randomize=False, rng_seed=35)
+    monkeypatch.setattr(arena, "_place", lambda *_: arena.base + at)
+    arena.alloc(size)
+    c = arena.counters
+    assert (c.line_rule_violations, c.page_rule_violations) == violations
+    stats = arena.stats()
+    assert (stats.line_straddles, stats.page_straddles) == straddles
 
 
 def test_offset_histogram_chi_square():
@@ -478,6 +507,14 @@ def test_filter_quarantines_and_reuses_slots():
     reuse = arena.alloc(385)
     assert reuse.start - reuse.offset == bsi_slot
     assert not oracles.table_contains(reuse.start, reuse.requested)
+
+
+def test_filter_exempts_spans_of_a_full_bsi_period():
+    # every span this long covers a BSI address, so no placement could pass
+    arena = make_arena(address_space_bits=32, filter_bsi=True, rng_seed=34)
+    rec = arena.alloc(BSI_PERIOD)
+    assert arena.counters.bsi_span_checks == 0
+    assert oracles.table_contains(rec.start, rec.requested)
 
 
 def test_filter_off_never_checks():

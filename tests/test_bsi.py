@@ -7,13 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruma.bsi import (
-    ACCEPT,
     BSI_PERIOD,
-    QUARANTINE,
     is_bsi_address,
     range_contains_bsi,
     range_contains_bsi_counted,
-    slot_verdict,
 )
 
 import oracles
@@ -57,10 +54,20 @@ def test_address_bounds_checked():
 
 
 def test_range_examples_by_brute_scan():
-    assert range_contains_bsi(0x12121210, 8)
-    assert oracles.scan_contains_bsi(0x12121210, 8)
-    assert not range_contains_bsi(0x12121213, 4)
-    assert not oracles.scan_contains_bsi(0x12121213, 4)
+    # 0x35353535 sits 0x35 bytes past 0x35353500: a span stopping just short
+    # of it is clean, one byte more covers it
+    cases = [
+        (0x12121210, 8, True),
+        (0x12121213, 4, False),
+        (0x97979790, 0x20, True),
+        (0x97979790, 0x4, False),
+        (0x35353500, 0x35, False),
+        (0x35353500, 0x36, True),
+        (0x35353500, 0x40, True),
+    ]
+    for start, length, expected in cases:
+        assert range_contains_bsi(start, length) == expected
+        assert oracles.scan_contains_bsi(start, length) == expected
 
 
 def test_empty_range_contains_nothing():
@@ -124,17 +131,3 @@ def test_candidate_count_small_ranges_at_most_two():
         start = rng.randrange(0, (1 << 32) - (1 << 16))
         _, checked = range_contains_bsi_counted(start, rng.randrange(1, 1 << 16))
         assert checked <= 2
-
-
-def test_slot_verdict_modes():
-    assert slot_verdict(0x97979790, 0x20) == QUARANTINE
-    assert slot_verdict(0x97979790, 0x4) == ACCEPT
-    assert slot_verdict(0x97979790, 0x20, filter_enabled=False) == ACCEPT
-
-
-def test_slot_verdict_tests_the_outgoing_span_not_the_slot():
-    # 0x35353535 sits 0x35 bytes into this slot: a request span stopping
-    # just short of it is clean, one byte more and the slot is withheld
-    assert slot_verdict(0x35353500, 0x35) == ACCEPT
-    assert slot_verdict(0x35353500, 0x36) == QUARANTINE
-    assert slot_verdict(0x35353500, 0x40) == QUARANTINE

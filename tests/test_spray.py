@@ -13,7 +13,6 @@ from ruma.spray import (
     SprayPattern,
     chained_success,
     classify_leaked_words,
-    enumerate_shift_outcomes,
     monte_carlo,
     read_at_shift,
     single_deref_success,
@@ -83,9 +82,11 @@ def test_pattern_validation():
 
 
 def test_shift_outcome_enumeration_is_complete():
-    outs = enumerate_shift_outcomes(scenario(width=8, g=1))
-    assert [o.shift for o in outs] == list(range(8))
-    assert outs[0].read_value == GENERIC64.value
+    shifts = list(scenario(width=8, g=1).shifts)
+    assert shifts == list(range(8))
+    reads = [read_at_shift(GENERIC64, s) for s in shifts]
+    assert reads[0] == GENERIC64.value
+    assert len(set(reads)) == 8  # every byte rotation of a generic value differs
 
 
 # -- exact probabilities ------------------------------------------------------
