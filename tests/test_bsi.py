@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruma import Arena, ArenaConfig
 from ruma.bsi import (
     BSI_PERIOD,
     is_bsi_address,
@@ -54,20 +55,10 @@ def test_address_bounds_checked():
 
 
 def test_range_examples_by_brute_scan():
-    # 0x35353535 sits 0x35 bytes past 0x35353500: a span stopping just short
-    # of it is clean, one byte more covers it
-    cases = [
-        (0x12121210, 8, True),
-        (0x12121213, 4, False),
-        (0x97979790, 0x20, True),
-        (0x97979790, 0x4, False),
-        (0x35353500, 0x35, False),
-        (0x35353500, 0x36, True),
-        (0x35353500, 0x40, True),
-    ]
-    for start, length, expected in cases:
-        assert range_contains_bsi(start, length) == expected
-        assert oracles.scan_contains_bsi(start, length) == expected
+    assert range_contains_bsi(0x12121210, 8)
+    assert oracles.scan_contains_bsi(0x12121210, 8)
+    assert not range_contains_bsi(0x12121213, 4)
+    assert not oracles.scan_contains_bsi(0x12121213, 4)
 
 
 def test_empty_range_contains_nothing():
@@ -131,3 +122,30 @@ def test_candidate_count_small_ranges_at_most_two():
         start = rng.randrange(0, (1 << 32) - (1 << 16))
         _, checked = range_contains_bsi_counted(start, rng.randrange(1, 1 << 16))
         assert checked <= 2
+
+
+def _check_span(start, length, expected):
+    assert range_contains_bsi(start, length) == expected
+    assert oracles.scan_contains_bsi(start, length) == expected
+
+
+def test_slot_verdict_modes():
+    # a filtered 32-bit arena withholds a slot exactly when its outgoing
+    # span covers a BSI address
+    _check_span(0x97979790, 0x20, True)
+    _check_span(0x97979790, 0x4, False)
+    # with the filter off the arena never tests a span
+    for filter_bsi, checked in ((True, True), (False, False)):
+        arena = Arena(
+            ArenaConfig(address_space_bits=32, filter_bsi=filter_bsi, rng_seed=5)
+        )
+        arena.alloc(0x20)
+        assert (arena.counters.bsi_span_checks > 0) == checked
+
+
+def test_slot_verdict_tests_the_outgoing_span_not_the_slot():
+    # 0x35353535 sits 0x35 bytes into this slot: a request span stopping
+    # just short of it is clean, one byte more and the slot is withheld
+    _check_span(0x35353500, 0x35, False)
+    _check_span(0x35353500, 0x36, True)
+    _check_span(0x35353500, 0x40, True)
