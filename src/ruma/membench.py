@@ -19,6 +19,7 @@ from enum import Enum
 
 import numpy as np
 
+from .arena import _spans_border
 from .errors import BenchError
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "BenchSpec",
     "CSV_HEADER",
     "OP_KINDS",
-    "detect_cache_line",
     "full_report",
     "plan_offsets",
     "run_bench",
@@ -57,10 +57,9 @@ class AccessClass(str, Enum):
 class BenchSpec:
     width: int = 8
     iterations: int = 134_217_728
-    unroll: int = 48
     op: str = "load"
 
-    def validate(self, cache_line: int, page_size: int) -> None:
+    def validate(self, cache_line: int) -> None:
         if self.width > cache_line:
             raise BenchError(
                 f"access width {self.width} exceeds the cache line ({cache_line})"
@@ -69,29 +68,20 @@ class BenchSpec:
             raise BenchError(f"access width must be one of 2, 4, 8, got {self.width}")
         if self.op not in OP_KINDS:
             raise BenchError(f"op must be one of {OP_KINDS}, got {self.op!r}")
-        if self.unroll < 1:
-            raise BenchError("unroll factor must be at least 1")
-        if self.iterations < self.unroll:
-            raise BenchError(
-                f"iterations ({self.iterations}) must be at least the unroll "
-                f"factor ({self.unroll})"
-            )
+        if self.iterations < 1:
+            raise BenchError(f"iterations must be at least 1, got {self.iterations}")
         if self.width == cache_line:
             raise BenchError(
                 "unaligned access of width == cache_line always crosses a border"
             )
 
 
-def _crosses(offset: int, width: int, border: int) -> bool:
-    return offset // border != (offset + width - 1) // border
-
-
 def validate_offset(
     access_class: AccessClass, offset: int, width: int, cache_line: int, page_size: int
 ) -> None:
     """Hard check that ``offset`` realizes its class; raises otherwise."""
-    line_x = _crosses(offset, width, cache_line)
-    page_x = _crosses(offset, width, page_size)
+    line_x = _spans_border(offset, width, cache_line)
+    page_x = _spans_border(offset, width, page_size)
     ok = {
         AccessClass.A: offset % width == 0 and not line_x and not page_x,
         AccessClass.U: offset % width != 0 and not line_x and not page_x,
@@ -108,7 +98,7 @@ def validate_offset(
 def plan_offsets(spec: BenchSpec, cache_line: int = 64, page_size: int = 4096):
     """Derive one offset per access class and validate each against the
     border predicates before anything is timed."""
-    spec.validate(cache_line, page_size)
+    spec.validate(cache_line)
     w = spec.width
     offsets = {
         AccessClass.A: 0,
@@ -119,19 +109,6 @@ def plan_offsets(spec: BenchSpec, cache_line: int = 64, page_size: int = 4096):
     for cls, off in offsets.items():
         validate_offset(cls, off, w, cache_line, page_size)
     return offsets
-
-
-def detect_cache_line(default: int = 64) -> int:
-    """Best-effort platform probe; never a correctness dependency."""
-    try:
-        import os
-
-        size = os.sysconf("SC_LEVEL1_DCACHE_LINESIZE")
-        if size > 0:
-            return size
-    except (ValueError, OSError, AttributeError):
-        pass
-    return default
 
 
 @dataclass
@@ -189,12 +166,11 @@ def _op_function(op: str):
     return lambda view: np.add(view, 1, out=view)
 
 
-def _time_cell(view, op_fn, sweeps: int, unroll: int) -> float:
+def _time_cell(view, op_fn, sweeps: int) -> float:
     op_fn(view)  # populate pages and warm caches before timing
     t0 = time.perf_counter()
     for _ in range(sweeps):
-        for _ in range(unroll):
-            op_fn(view)
+        op_fn(view)
     elapsed = time.perf_counter() - t0
     resolution = time.get_clock_info("perf_counter").resolution
     if elapsed <= _MIN_TIMED * resolution:
@@ -219,7 +195,7 @@ def run_bench(
     offsets = plan_offsets(spec, cache_line, page_size)
     dtype = _SUPPORTED_WIDTHS[spec.width]
     buf = np.zeros(pages * page_size + page_size, dtype=np.uint8)
-    sweeps = max(1, -(-spec.iterations // (spec.unroll * pages)))
+    sweeps = -(-spec.iterations // pages)
     op_fn = _op_function(spec.op)
 
     report = BenchReport(cache_line=cache_line, page_size=page_size)
@@ -228,7 +204,7 @@ def run_bench(
         view = np.ndarray(
             shape=(pages,), dtype=dtype, buffer=buf, offset=off, strides=(page_size,)
         )
-        seconds[cls] = _time_cell(view, op_fn, sweeps, spec.unroll)
+        seconds[cls] = _time_cell(view, op_fn, sweeps)
     base = seconds[AccessClass.A]
     for cls in AccessClass:
         ratio = seconds[cls] / base
@@ -245,8 +221,7 @@ def run_bench(
     report.orderings.extend(_ordering_checks(spec, seconds))
     report.notes.append("single-threaded, no CPU pinning")
     report.notes.append(
-        f"{sweeps * spec.unroll * pages} accesses per class "
-        f"({sweeps} sweeps x {spec.unroll} unrolled x {pages} targets)"
+        f"{sweeps * pages} accesses per class ({sweeps} sweeps x {pages} targets)"
     )
     return report
 
@@ -304,24 +279,20 @@ def run_copy_bench(
 
 
 def full_report(
-    width: int = 8,
-    iterations: int = 1 << 20,
-    unroll: int = 48,
-    scale: float = 0.01,
-    cache_line: int = 64,
-    page_size: int = 4096,
-    pages: int = 2048,
-    copy_bytes: int = 1 << 20,
+    width: int = 8, iterations: int = 1 << 20, scale: float = 0.01
 ) -> BenchReport:
-    """All op kinds at one width, plus the bulk-copy pair."""
-    merged = BenchReport(cache_line=cache_line, page_size=page_size)
-    for op in OP_KINDS:
-        spec = BenchSpec(width=width, iterations=iterations, unroll=unroll, op=op)
-        part = run_bench(spec, cache_line, page_size, pages)
+    """All op kinds at one width in ``run_bench``'s default geometry, plus
+    the bulk-copy pair."""
+    parts = [
+        run_bench(BenchSpec(width=width, iterations=iterations, op=op))
+        for op in OP_KINDS
+    ]
+    merged = BenchReport(cache_line=parts[0].cache_line, page_size=parts[0].page_size)
+    for part in parts:
         merged.cells.extend(part.cells)
         merged.orderings.extend(part.orderings)
         for note in part.notes:
             if note not in merged.notes:
                 merged.notes.append(note)
-    merged.cells.extend(run_copy_bench(copy_bytes, scale=scale))
+    merged.cells.extend(run_copy_bench(scale=scale))
     return merged

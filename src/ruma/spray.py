@@ -32,7 +32,6 @@ __all__ = [
     "classify_leaked_words",
     "monte_carlo",
     "read_at_shift",
-    "single_deref_success",
     "words_at_shift",
 ]
 
@@ -78,7 +77,6 @@ class AttackScenario:
     granularity: int
     chain_length: int
     pattern: SprayPattern
-    predicate: str = "exact"  # or "rotation" for shift-insensitive analysis
 
     def __post_init__(self):
         if self.pointer_width not in (4, 8):
@@ -92,8 +90,6 @@ class AttackScenario:
             raise ValueError("chain_length must be at least 1")
         if self.pattern.width != self.pointer_width:
             raise ValueError("pattern width must equal the scenario pointer width")
-        if self.predicate not in ("exact", "rotation"):
-            raise ValueError(f"unknown predicate {self.predicate!r}")
 
     @property
     def shifts(self) -> range:
@@ -109,25 +105,14 @@ def read_at_shift(pattern: SprayPattern, shift: int) -> int:
 
 
 def _match_table(scenario: AttackScenario):
-    if scenario.predicate == "rotation":
-        targets = {read_at_shift(scenario.pattern, s) for s in range(scenario.pointer_width)}
-    else:
-        targets = {scenario.pattern.value}
-    return [
-        read_at_shift(scenario.pattern, s) in targets for s in scenario.shifts
-    ]
-
-
-def single_deref_success(scenario: AttackScenario) -> float:
-    """Exact attack success probability of one dereference, by enumerating
-    every shift the defense granularity allows."""
-    matches = _match_table(scenario)
-    return float(Fraction(sum(matches), len(matches)))
+    pattern = scenario.pattern
+    return [read_at_shift(pattern, s) == pattern.value for s in scenario.shifts]
 
 
 def chained_success(scenario: AttackScenario) -> float:
-    """Exact success probability of ``chain_length`` independent stages:
-    the single-stage odds raised to the chain length."""
+    """Exact success probability of ``chain_length`` independent stages: the
+    share of allowed shifts that read the sprayed value back, raised to the
+    chain length (a chain of 1 is a single dereference)."""
     matches = _match_table(scenario)
     return float(Fraction(sum(matches), len(matches)) ** scenario.chain_length)
 

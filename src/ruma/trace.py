@@ -33,6 +33,9 @@ __all__ = [
 
 _KIND_BY_TOKEN = {"a": "alloc", "f": "free", "r": "realloc"}
 _TOKEN_BY_KIND = {v: k for k, v in _KIND_BY_TOKEN.items()}
+# the generator's event mix while anything is live; frees take the rest
+_ALLOC_PROB = 0.55
+_REALLOC_PROB = 0.10
 
 
 @dataclass
@@ -43,9 +46,14 @@ class TraceEvent:
     line: int = field(default=0, compare=False)
 
 
-def _column(raw_line: str, token: str) -> int:
-    pos = raw_line.find(token)
-    return pos + 1 if pos >= 0 else 1
+def _column(raw_line: str, tokens, index: int) -> int:
+    """1-based column of ``tokens[index]``; each token is searched for from
+    the end of the one before, so a repeated text finds its own place."""
+    end = 0
+    for token in tokens[: index + 1]:
+        pos = raw_line.index(token, end)
+        end = pos + len(token)
+    return pos + 1
 
 
 def parse_trace(source) -> list:
@@ -69,7 +77,7 @@ def parse_trace(source) -> list:
         kind = _KIND_BY_TOKEN.get(token)
         if kind is None:
             raise TraceError(
-                f"unknown event {token!r}", line=lineno, column=_column(raw, token)
+                f"unknown event {token!r}", line=lineno, column=_column(raw, tokens, 0)
             )
         expected = 2 if kind == "free" else 3
         if len(tokens) != expected:
@@ -85,7 +93,7 @@ def parse_trace(source) -> list:
                 raise TraceError(
                     f"bad size {tokens[2]!r}",
                     line=lineno,
-                    column=_column(raw, tokens[2]),
+                    column=_column(raw, tokens, 2),
                 ) from None
             if size < 0:
                 raise TraceError(f"negative size {size}", line=lineno)
@@ -94,7 +102,7 @@ def parse_trace(source) -> list:
                 raise TraceError(
                     f"id {ident!r} is already live",
                     line=lineno,
-                    column=_column(raw, ident),
+                    column=_column(raw, tokens, 1),
                 )
             live.add(ident)
         else:
@@ -102,7 +110,7 @@ def parse_trace(source) -> list:
                 raise TraceError(
                     f"{kind} of unknown id {ident!r}",
                     line=lineno,
-                    column=_column(raw, ident),
+                    column=_column(raw, tokens, 1),
                 )
             if kind == "free":
                 live.discard(ident)
@@ -160,8 +168,8 @@ def replay_into(arena: Arena, events) -> ReplayStats:
     return stats
 
 
-def replay(events, config: ArenaConfig, *, backed: bool = False) -> ReplayStats:
-    return replay_into(Arena(config, backed=backed), events)
+def replay(events, config: ArenaConfig) -> ReplayStats:
+    return replay_into(Arena(config), events)
 
 
 def generate_trace(
@@ -172,22 +180,18 @@ def generate_trace(
     sigma: float = 1.0,
     min_size: int = 1,
     max_size: int = 4096,
-    alloc_prob: float = 0.55,
-    realloc_prob: float = 0.10,
 ) -> list:
     """Emit a synthetic allocation trace with small-object mass.
 
     Sizes are log-normal with the given median and shape ``sigma``,
     clamped to [min_size, max_size]; the defaults put roughly 92% of
     requests below 128 bytes. While anything is live, each step allocates
-    with ``alloc_prob``, reallocates a random live id with
-    ``realloc_prob``, and frees a random live id otherwise. Ids are decimal
-    tokens in allocation order. Deterministic for a fixed seed.
+    with probability 0.55, reallocates a random live id with 0.10, and
+    frees a random live id otherwise. Ids are decimal tokens in allocation
+    order. Deterministic for a fixed seed.
     """
     if events < 0:
         raise ValueError("events must be non-negative")
-    if not 0 < alloc_prob <= 1 or realloc_prob < 0 or alloc_prob + realloc_prob > 1:
-        raise ValueError("event mix probabilities must form a distribution")
     if min_size < 0 or max_size < min_size:
         raise ValueError("bad size bounds")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -201,12 +205,12 @@ def generate_trace(
 
     for _ in range(events):
         roll = float(rng.random())
-        if not live or roll < alloc_prob:
+        if not live or roll < _ALLOC_PROB:
             ident = str(next_id)
             next_id += 1
             live.append(ident)
             out.append(TraceEvent("alloc", ident, draw_size()))
-        elif roll < alloc_prob + realloc_prob:
+        elif roll < _ALLOC_PROB + _REALLOC_PROB:
             ident = live[int(rng.integers(0, len(live)))]
             out.append(TraceEvent("realloc", ident, draw_size()))
         else:

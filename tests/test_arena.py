@@ -305,6 +305,22 @@ def test_capacity_exhaustion_is_not_a_config_error():
             arena.alloc(4096 * 4)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=CapacityError,
+    reason="freed pages never return to a shared pool (ROADMAP open item 2)",
+)
+def test_freed_pages_serve_other_classes():
+    arena = make_arena(arena_capacity=1 << 20, rng_seed=1)
+    try:
+        ids = [arena.alloc(4000).id for _ in range(256)]
+    except CapacityError as exc:
+        pytest.fail(f"filling the arena with one-page chunks failed: {exc}")
+    for alloc_id in ids:
+        arena.free(alloc_id)
+    assert arena.alloc(24).requested == 24
+
+
 # -- randomized operation property ------------------------------------------
 
 

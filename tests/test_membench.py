@@ -6,7 +6,6 @@ from ruma.membench import (
     AccessClass,
     BenchError,
     BenchSpec,
-    detect_cache_line,
     full_report,
     plan_offsets,
     run_bench,
@@ -16,7 +15,7 @@ from ruma.membench import (
 
 import oracles
 
-TINY = dict(iterations=20_000, unroll=4)
+TINY = dict(iterations=20_000)
 
 
 def test_planned_offsets_default_geometry():
@@ -54,9 +53,7 @@ def test_spec_errors():
     with pytest.raises(BenchError):
         plan_offsets(BenchSpec(width=3, **TINY))
     with pytest.raises(BenchError):
-        plan_offsets(BenchSpec(width=8, iterations=0, unroll=4))
-    with pytest.raises(BenchError):
-        plan_offsets(BenchSpec(width=8, iterations=10, unroll=48))
+        plan_offsets(BenchSpec(width=8, iterations=0))
     with pytest.raises(BenchError):
         plan_offsets(BenchSpec(width=8, op="fma", **TINY))
     with pytest.raises(BenchError):
@@ -98,8 +95,7 @@ def test_copy_bench_scale_validates():
 
 
 def test_full_report_merges_ops_and_copy():
-    report = full_report(width=8, iterations=20_000, unroll=4, scale=0.0005,
-                         pages=128, copy_bytes=1 << 16)
+    report = full_report(width=8, iterations=20_000, scale=0.0005)
     ops = {(c.op, c.access_class) for c in report.cells}
     for op in ("load", "store", "load-store"):
         for cls in ("A", "U", "BC", "BP"):
@@ -114,8 +110,3 @@ def test_csv_rows_shape():
     assert rows[0] == "class,width,op,seconds,ratio"
     assert len(rows) == 5
     assert rows[1].startswith("A,8,load,")
-
-
-def test_detect_cache_line_returns_power_of_two():
-    size = detect_cache_line()
-    assert size >= 16 and (size & (size - 1)) == 0

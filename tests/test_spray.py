@@ -15,7 +15,6 @@ from ruma.spray import (
     classify_leaked_words,
     monte_carlo,
     read_at_shift,
-    single_deref_success,
     words_at_shift,
 )
 
@@ -26,9 +25,9 @@ GENERIC32 = SprayPattern(0xCAFEBABE, 4)
 BSI64 = SprayPattern(0x9797979797979797, 8)
 
 
-def scenario(width=8, g=1, k=1, pattern=None, predicate="exact"):
+def scenario(width=8, g=1, k=1, pattern=None):
     pattern = pattern or (GENERIC64 if width == 8 else GENERIC32)
-    return AttackScenario(width, g, k, pattern, predicate)
+    return AttackScenario(width, g, k, pattern)
 
 
 # -- read_at_shift -----------------------------------------------------------
@@ -93,29 +92,29 @@ def test_shift_outcome_enumeration_is_complete():
 
 
 def test_single_deref_generic_patterns():
-    assert single_deref_success(scenario(width=8, g=1)) == 0.125
-    assert single_deref_success(scenario(width=4, g=1)) == 0.25
+    assert chained_success(scenario(width=8, g=1)) == 0.125
+    assert chained_success(scenario(width=4, g=1)) == 0.25
 
 
 def test_word_granularity_always_succeeds():
-    assert single_deref_success(scenario(width=8, g=8)) == 1.0
-    assert single_deref_success(scenario(width=8, g=8, pattern=BSI64)) == 1.0
+    assert chained_success(scenario(width=8, g=8)) == 1.0
+    assert chained_success(scenario(width=8, g=8, pattern=BSI64)) == 1.0
 
 
 def test_bsi_pattern_defeats_byte_granularity():
-    assert single_deref_success(scenario(width=8, g=1, pattern=BSI64)) == 1.0
+    assert chained_success(scenario(width=8, g=1, pattern=BSI64)) == 1.0
 
 
 def test_half_period_pattern_survives_half_the_shifts():
     pattern = SprayPattern(0x35343534, 4)  # two-byte period
-    assert single_deref_success(scenario(width=4, g=1, pattern=pattern)) == 0.5
+    assert chained_success(scenario(width=4, g=1, pattern=pattern)) == 0.5
 
 
 def test_match_count_times_states_is_integral():
     for g in (1, 2, 4, 8):
         for pattern in (GENERIC64, BSI64, SprayPattern(0x3534353435343534, 8)):
             sc = scenario(width=8, g=g, pattern=pattern)
-            p = single_deref_success(sc)
+            p = chained_success(sc)
             assert (p * (8 // g)) == int(p * (8 // g))
 
 
@@ -124,7 +123,7 @@ def test_match_count_times_states_is_integral():
 def test_monotone_in_granularity(value):
     pattern = SprayPattern(value, 8)
     probs = [
-        single_deref_success(scenario(width=8, g=g, pattern=pattern))
+        chained_success(scenario(width=8, g=g, pattern=pattern))
         for g in (8, 4, 2, 1)
     ]
     assert all(a >= b for a, b in zip(probs, probs[1:]))
@@ -134,7 +133,7 @@ def test_monotone_in_granularity(value):
 @given(value=st.integers(0, (1 << 64) - 1))
 def test_success_one_iff_all_bytes_equal(value):
     pattern = SprayPattern(value, 8)
-    p = single_deref_success(scenario(width=8, g=1, pattern=pattern))
+    p = chained_success(scenario(width=8, g=1, pattern=pattern))
     assert (p == 1.0) == pattern.is_byte_shift_independent()
 
 
@@ -169,11 +168,6 @@ def test_long_chain_closed_form():
     assert chained_success(scenario(width=8, g=1, k=31)) == 0.125**31
 
 
-def test_rotation_predicate_accepts_any_shift():
-    sc = scenario(width=8, g=1, predicate="rotation")
-    assert single_deref_success(sc) == 1.0
-
-
 def test_scenario_validation():
     with pytest.raises(ValueError):
         scenario(width=8, g=3)
@@ -181,8 +175,6 @@ def test_scenario_validation():
         scenario(width=8, g=1, k=0)
     with pytest.raises(ValueError):
         AttackScenario(8, 1, 1, GENERIC32)
-    with pytest.raises(ValueError):
-        AttackScenario(8, 1, 1, GENERIC64, predicate="fuzzy")
 
 
 # -- Monte Carlo --------------------------------------------------------------

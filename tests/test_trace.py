@@ -1,5 +1,7 @@
 """Trace parsing, round trips, replay accounting, and the generator."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,22 @@ def test_parse_errors_carry_position(text, fragment):
         parse_trace(text)
     assert fragment in str(err.value)
     assert err.value.line is not None
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("a a 8\na a 8\n", 2, 3),  # the duplicate id repeats the event token
+        ("a f f\n", 1, 5),  # the bad size repeats the id
+        ("  z 1 2\n", 1, 3),
+        ("a 1 8\nf  9\n", 2, 4),
+        ("r 1 1\n", 1, 3),
+    ],
+)
+def test_parse_error_columns_point_at_the_token(text, line, column):
+    with pytest.raises(TraceError) as err:
+        parse_trace(text)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_id_reusable_after_free():
@@ -170,5 +188,10 @@ def test_generator_respects_bounds():
             assert 16 <= ev.size <= 128
     with pytest.raises(ValueError):
         generate_trace(-1, seed=0)
-    with pytest.raises(ValueError):
-        generate_trace(10, seed=0, alloc_prob=0.9, realloc_prob=0.5)
+
+
+def test_generator_event_mix():
+    events = generate_trace(20_000, seed=12)
+    kinds = Counter(e.kind for e in events)
+    for kind, share in (("alloc", 0.55), ("realloc", 0.10), ("free", 0.35)):
+        assert abs(kinds[kind] / len(events) - share) <= 0.02, kind
