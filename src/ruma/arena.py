@@ -458,9 +458,6 @@ class Arena:
         if rec is None:
             raise HandleError(f"unknown or already freed allocation id {alloc_id}")
         self.counters.total_frees += 1
-        self._release(rec)
-
-    def _release(self, rec: Allocation) -> None:
         self._live_bytes -= rec.requested
         self._reserved_bytes -= rec.reserved
         ci = rec.size_class_index
@@ -516,9 +513,6 @@ class Arena:
     def live_allocations(self):
         """Current live chunks, in allocation order."""
         return list(self._live.values())
-
-    def live_count(self) -> int:
-        return len(self._live)
 
     def stats(self) -> ReplayStats:
         cfg = self._cfg

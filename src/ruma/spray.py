@@ -17,6 +17,7 @@ across workers as long as per-worker seeds derive from the root seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,20 +26,17 @@ import numpy as np
 __all__ = [
     "AttackScenario",
     "MonteCarloResult",
-    "OTHER",
-    "POINTER_LIKE",
     "SprayPattern",
     "chained_success",
-    "classify_leaked_words",
     "monte_carlo",
     "read_at_shift",
-    "words_at_shift",
 ]
 
-_Z99 = 0.99
-
-POINTER_LIKE = "pointer-like"
-OTHER = "other"
+# Two-sided 99% normal quantile as Cephes' ndtri(0.995) returns it, the value
+# the reference Wilson implementation uses. The stdlib NormalDist().inv_cdf(0.995)
+# is one ulp lower (2.5758293035489), and the interval then changes in its
+# last bit.
+_Z = 2.5758293035489004
 
 
 @dataclass(frozen=True)
@@ -131,9 +129,6 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
     rate with a 99% Wilson interval."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    # scipy is imported lazily so CLI paths that never sample stay light
-    from scipy.stats import binomtest
-
     matches = np.array(_match_table(scenario), dtype=bool)
     states = len(matches)
     k = scenario.chain_length
@@ -146,30 +141,23 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
         draws = rng.integers(0, states, size=(n, k))
         successes += int(matches[draws].all(axis=1).sum())
         remaining -= n
-    ci = binomtest(successes, trials).proportion_ci(
-        confidence_level=_Z99, method="wilson"
-    )
+    ci_low, ci_high = _wilson(successes, trials)
     return MonteCarloResult(
         estimate=successes / trials,
-        ci_low=float(ci.low),
-        ci_high=float(ci.high),
+        ci_low=ci_low,
+        ci_high=ci_high,
         trials=trials,
         successes=successes,
     )
 
 
-def words_at_shift(data: bytes, shift: int, word_width: int = 8):
-    """Reinterpret a leaked buffer as ``word_width``-byte little-endian words
-    starting ``shift`` bytes in, the way a leak-analysis script would."""
-    if shift < 0:
-        raise ValueError("shift must be non-negative")
-    out = []
-    for i in range(shift, len(data) - word_width + 1, word_width):
-        out.append(int.from_bytes(data[i : i + word_width], "little"))
-    return out
-
-
-def classify_leaked_words(words):
-    """Tag each leaked word the way pointer-tagging runtimes invite: words
-    with the least significant bit set look like pointers."""
-    return [POINTER_LIKE if w & 1 else OTHER for w in words]
+def _wilson(k: int, n: int) -> tuple[float, float]:
+    """Two-sided 99% Wilson interval for ``k`` successes in ``n`` trials:
+    Newcombe's (1998) formula without continuity correction, in the common
+    reference operation order so the bounds match it to the bit. The bounds
+    are exactly 0 at ``k == 0`` and exactly 1 at ``k == n``."""
+    p = k / n
+    denom = 2 * (n + _Z**2)
+    center = (2 * n * p + _Z**2) / denom
+    delta = _Z / denom * math.sqrt(4 * n * p * (1 - p) + _Z**2)
+    return (0.0 if k == 0 else center - delta, 1.0 if k == n else center + delta)

@@ -10,8 +10,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
 
-def run_cli(*argv, env=None, cwd=None):
-    """Run ``python -m ruma.cli *argv`` in a child process.
+def run_python(*args, env=None, cwd=None):
+    """Run ``python *args`` in a child process.
 
     The absolute ``src`` path goes in front of any inherited ``PYTHONPATH``,
     so the child imports this checkout's ``ruma`` from any working directory,
@@ -23,12 +23,17 @@ def run_cli(*argv, env=None, cwd=None):
     if env:
         full_env.update(env)
     return subprocess.run(
-        [sys.executable, "-m", "ruma.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=full_env,
         cwd=cwd,
     )
+
+
+def run_cli(*argv, env=None, cwd=None):
+    """Run ``python -m ruma.cli *argv`` in a child process, as ``run_python``."""
+    return run_python("-m", "ruma.cli", *argv, env=env, cwd=cwd)
 
 
 @pytest.fixture(scope="session")

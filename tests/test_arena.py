@@ -25,7 +25,7 @@ def make_arena(**overrides):
 
 def test_default_config_creates_empty_arena():
     arena = make_arena()
-    assert arena.live_count() == 0
+    assert len(arena.live_allocations()) == 0
     stats = arena.stats()
     assert stats.live_bytes == 0
     assert stats.overhead_ratio == 1.0
@@ -185,7 +185,7 @@ def test_zero_size_alloc_gets_smallest_class_slot():
     rec = arena.alloc(0)
     assert rec.requested == 0
     assert rec.size_class_index == 0
-    assert arena.live_count() == 1
+    assert len(arena.live_allocations()) == 1
     other = arena.alloc(0)
     assert rec.id != other.id
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, run_python
 from ruma.cli import build_parser, dispatch
 
 DATA = Path(__file__).parent / "data"
@@ -147,6 +147,26 @@ def test_filter_check_positive_exit_via_process():
     assert proc.returncode == 1
     proc = run_cli("filter-check", "--start", "12121213", "--len", "4")
     assert proc.returncode == 0
+
+
+_SCIPY_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("ruma.cli", run_name="__main__")
+finally:
+    print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+          file=sys.stderr)
+"""
+
+
+def test_spray_sim_runs_without_scipy():
+    proc = run_python(
+        "-c", _SCIPY_PROBE, "spray-sim", "--pattern", "deadbeefcafebabe",
+        "--trials", "1000", "--seed", "1",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["trials"] == 1000
+    assert proc.stderr.splitlines()[-1] == "[]"
 
 
 # -- help text -----------------------------------------------------------------

@@ -1,21 +1,19 @@
-"""Spray attack model: shift reads, exact probabilities, sampling, leaks."""
+"""Spray attack model: shift reads, exact probabilities, sampling, intervals."""
 
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binomtest
 
 from ruma.spray import (
-    OTHER,
-    POINTER_LIKE,
     AttackScenario,
     SprayPattern,
+    _wilson,
     chained_success,
-    classify_leaked_words,
     monte_carlo,
     read_at_shift,
-    words_at_shift,
 )
 
 import oracles
@@ -207,19 +205,24 @@ def test_monte_carlo_validates_trials():
         monte_carlo(scenario(), 0, seed=1)
 
 
-# -- leak classification ------------------------------------------------------
+# -- Wilson interval ----------------------------------------------------------
 
 
-def test_leak_classifier_examples():
-    got = classify_leaked_words([0x000002D2E9106A41, 0x0000000000000100])
-    assert got == [POINTER_LIKE, OTHER]
+def _scipy_wilson(k, n):
+    ci = binomtest(k, n).proportion_ci(confidence_level=0.99, method="wilson")
+    return float(ci.low), float(ci.high)
 
 
-def test_shifted_dump_breaks_the_classifier():
-    # an aligned dump of tagged words, then the same bytes one byte off
-    words = [0x000002D2E9106A41, 0x00007F3400200000, 0x0000000000000031]
-    data = b"".join(w.to_bytes(8, "little") for w in words) + b"\x00" * 8
-    aligned = classify_leaked_words(words_at_shift(data, 0))
-    shifted = classify_leaked_words(words_at_shift(data, 1))
-    assert aligned[: len(words)] == classify_leaked_words(words)
-    assert any(a != b for a, b in zip(aligned, shifted))
+def test_wilson_matches_scipy_bit_for_bit():
+    for n in (1, 2, 3, 7, 8, 64, 1000, 99_991, 10**7, 2**40 + 5):
+        for k in sorted({0, 1, n // 8, n // 3, n // 2, n - 1, n}):
+            assert _wilson(k, n) == _scipy_wilson(k, n), (k, n)
+
+
+def test_monte_carlo_interval_matches_scipy_at_the_edges():
+    # granularity equal to the width always succeeds; a 31-stage chain
+    # at 0.125 per stage never does in 1000 trials
+    for sc, successes in [(scenario(width=4, g=4, k=3), 1000), (scenario(k=31), 0)]:
+        result = monte_carlo(sc, 1000, seed=5)
+        assert result.successes == successes
+        assert (result.ci_low, result.ci_high) == _scipy_wilson(successes, 1000)

@@ -166,7 +166,7 @@ def test_replay_capacity_abort_reports_position():
 def test_replay_into_exposes_arena():
     arena = Arena(ArenaConfig(rng_seed=6))
     stats = replay_into(arena, parse_trace("a 1 24\n"))
-    assert arena.live_count() == 1
+    assert len(arena.live_allocations()) == 1
     assert stats.live_bytes == 24
 
 
