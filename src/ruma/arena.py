@@ -290,11 +290,9 @@ class Arena:
         self._mem = bytearray(usable) if backed else None
 
         self.counters = ArenaCounters()
-        self._live_bytes = 0
-        self._reserved_bytes = 0
+        self._reserved_bytes = 0  # running, for the peak
         self._peak_reserved = 0
         self._offset_hist = [0] * config.pointer_width
-        self._class_live = [0] * len(self._table)
         self._class_capacity = [0] * len(self._table)
 
     # -- construction helpers -------------------------------------------
@@ -414,34 +412,32 @@ class Arena:
                 raise ValueError(
                     f"alignment {align} beyond the page size is not supported"
                 )
-            self.counters.aligned_allocs += 1
         elif cfg.randomize:
             offset = self._next_offset()
 
         pad = cfg.pointer_width if cfg.randomize else 0
-        ci = self.class_index_for(size)
+        ci = natural = self.class_index_for(size)
         if ci != LARGE_CLASS and align is not None:
-            natural = ci
-            while ci < len(self._table) and self._table[ci].stride % align:
+            # Strides and align are powers of two and the last stride is the
+            # page, so the first stride >= align ends this inside the table.
+            while self._table[ci].stride % align:
                 ci += 1
-            if ci == len(self._table):
-                ci = LARGE_CLASS
-            if ci != natural:
-                self.counters.promotions += 1
 
         start = self._place(self._key(ci, size), offset, size) + offset
+        if align is not None:
+            self.counters.aligned_allocs += 1
+            if ci != natural:
+                self.counters.promotions += 1
         if ci == LARGE_CLASS:
             reserved = size + pad
         else:
             reserved = self._table[ci].max_size + pad
-            self._class_live[ci] += 1
 
         rec = Allocation(self._next_id, start, size, reserved, offset, ci)
         self._next_id += 1
         self._live[rec.id] = rec
 
         self.counters.total_allocs += 1
-        self._live_bytes += size
         self._reserved_bytes += reserved
         self._peak_reserved = max(self._peak_reserved, self._reserved_bytes)
         self._offset_hist[offset] += 1
@@ -458,12 +454,9 @@ class Arena:
         if rec is None:
             raise HandleError(f"unknown or already freed allocation id {alloc_id}")
         self.counters.total_frees += 1
-        self._live_bytes -= rec.requested
         self._reserved_bytes -= rec.reserved
-        ci = rec.size_class_index
-        if ci != LARGE_CLASS:
-            self._class_live[ci] -= 1
-        self._free[self._key(ci, rec.requested)].append(rec.start - rec.offset)
+        key = self._key(rec.size_class_index, rec.requested)
+        self._free[key].append(rec.start - rec.offset)
 
     def realloc(self, alloc_id: int, new_size: int) -> Allocation:
         """Move ``alloc_id`` to a fresh placement of ``new_size`` bytes.
@@ -515,30 +508,30 @@ class Arena:
         return list(self._live.values())
 
     def stats(self) -> ReplayStats:
-        cfg = self._cfg
-        live = self._live.values()
+        line, page = self._cfg.cache_line, self._cfg.page_size
+        live_bytes = line_straddles = page_straddles = 0
+        class_live = [0] * (len(self._table) + 1)  # the last counts LARGE_CLASS
+        for a in self._live.values():
+            live_bytes += a.requested
+            class_live[a.size_class_index] += 1
+            line_straddles += _spans_border(a.start, a.requested, line)
+            page_straddles += _spans_border(a.start, a.requested, page)
         per_class = [
             {
                 "max_size": cls.max_size,
-                "live": self._class_live[i],
+                "live": class_live[i],
                 "capacity": self._class_capacity[i],
             }
             for i, cls in enumerate(self._table)
         ]
-        ratio = (
-            self._reserved_bytes / self._live_bytes if self._live_bytes > 0 else 1.0
-        )
+        reserved = self._reserved_bytes
         return ReplayStats(
-            live_bytes=self._live_bytes,
-            reserved_bytes=self._reserved_bytes,
-            overhead_ratio=ratio,
+            live_bytes=live_bytes,
+            reserved_bytes=reserved,
+            overhead_ratio=reserved / live_bytes if live_bytes > 0 else 1.0,
             offset_histogram=list(self._offset_hist),
-            line_straddles=sum(
-                _spans_border(a.start, a.requested, cfg.cache_line) for a in live
-            ),
-            page_straddles=sum(
-                _spans_border(a.start, a.requested, cfg.page_size) for a in live
-            ),
+            line_straddles=line_straddles,
+            page_straddles=page_straddles,
             per_class=per_class,
             promotions=self.counters.promotions,
             aligned_allocs=self.counters.aligned_allocs,

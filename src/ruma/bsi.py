@@ -3,9 +3,9 @@
 A 32-bit value whose four bytes are all equal (for example 0x35353535)
 reads back identically at any byte shift of a sprayed buffer, so a
 filtering arena refuses to hand out chunks that cover such an address.
-Detection does not scan every address in a range: it steps candidate
-repeated-byte values starting from the most significant byte of the range
-start, which costs at most ceil(length / 0x01010101) + 2 candidate checks.
+The repeated-byte values are exactly the 256 multiples of 0x01010101, so
+a range covers one when the first multiple at or after its start lies
+before its end: one ceiling division, whatever the length.
 
 All functions here are pure and safe for unrestricted parallel use.
 """
@@ -53,33 +53,19 @@ def _checked_range(start: int, length: int) -> int:
     return end
 
 
-def _stepped_scan(start: int, end: int, period: int, top_shift: int):
-    # Candidates are multiples of ``period``, beginning with the repeated
-    # value built from the top byte (or halfword) of ``start``.  The first
-    # candidate at or past ``end`` terminates the walk.
-    repeated = start >> top_shift
-    checked = 0
-    while True:
-        candidate = repeated * period
-        checked += 1
-        if candidate >= end:
-            return False, checked
-        if candidate >= start:
-            return True, checked
-        repeated += 1
-
-
 def range_contains_bsi_counted(start: int, length: int, *, strict: bool = False):
     """Like :func:`range_contains_bsi`, also returning the number of
-    candidate values evaluated by the stepping walk."""
+    candidate values tested: one per non-empty range.
+
+    Every repeated-byte value is also a repeated halfword
+    (0x01010101 = 257 * 0x00010001), so strict mode tests only the finer
+    period.
+    """
     end = _checked_range(start, length)
     if length == 0:
         return False, 0
-    hit, checked = _stepped_scan(start, end, BSI_PERIOD, 24)
-    if not hit and strict:
-        hit, extra = _stepped_scan(start, end, HALFWORD_PERIOD, 16)
-        checked += extra
-    return hit, checked
+    period = HALFWORD_PERIOD if strict else BSI_PERIOD
+    return -(-start // period) * period < end, 1
 
 
 def range_contains_bsi(start: int, length: int, *, strict: bool = False) -> bool:

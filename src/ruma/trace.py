@@ -62,10 +62,7 @@ def parse_trace(source) -> list:
     Raises :class:`TraceError` with line and column on malformed input,
     duplicate live ids, or references to ids that are not live.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
+    lines = source.splitlines() if isinstance(source, str) else source
     events = []
     live = set()
     for lineno, raw in enumerate(lines, 1):

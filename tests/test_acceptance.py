@@ -173,7 +173,6 @@ def test_criterion_5_offset_uniformity_and_baseline():
 
 def test_criterion_6_bsi_filter_oracle_and_arena_guarantee():
     rng = random.Random(61)
-    worst = 0
     for _ in range(1_000_000):
         start = rng.randrange(0, 1 << 32)
         length = rng.randrange(0, 1 << 16)
@@ -183,9 +182,7 @@ def test_criterion_6_bsi_filter_oracle_and_arena_guarantee():
         assert hit == oracles.table_contains(start, length), (
             f"disagreement at [{start:#x}, +{length})"
         )
-        bound = -(-length // 0x01010101) + 2
-        assert checked <= bound
-        worst = max(worst, checked)
+        assert checked == (length > 0)
 
     arena = Arena(
         ArenaConfig(address_space_bits=32, filter_bsi=True,
@@ -204,8 +201,8 @@ def test_criterion_6_bsi_filter_oracle_and_arena_guarantee():
     ok = spanning == 0 and arena.counters.bsi_quarantined > 0
     _check(
         6, ok,
-        f"stepping walk equals the scan oracle on 10^6 ranges (max {worst} "
-        f"candidates per walk); filtered 32-bit arena made "
+        f"closed-form test (one ceiling division) equals the table oracle on "
+        f"10^6 ranges; filtered 32-bit arena made "
         f"{arena.counters.total_allocs} allocs with {spanning} spanning a BSI "
         f"address, {arena.counters.bsi_quarantined} slots quarantined",
     )

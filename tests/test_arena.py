@@ -233,10 +233,26 @@ def test_alignment_requests_exempt_from_randomization():
     stats = arena.stats()
     assert stats.aligned_allocs == 1
     assert stats.promotions >= 1  # 100 naturally lands in a 256-stride class
+    page = arena.config.page_size
+    rec = arena.alloc(24, align=page)  # only the last class has a page stride
+    assert rec.start % page == 0
+    assert rec.size_class_index == len(arena.size_class_table) - 1
+    assert arena.stats().promotions == stats.promotions + 1
     with pytest.raises(ValueError):
         arena.alloc(8, align=3)
     with pytest.raises(ValueError):
         arena.alloc(8, align=8192)
+
+
+def test_failed_aligned_alloc_is_not_counted():
+    arena = make_arena(arena_capacity=1 << 16, rng_seed=1)
+    for _ in range(16):
+        arena.alloc(3000)  # one large page each fills the arena
+    for align in (512, 4096):
+        with pytest.raises(CapacityError):
+            arena.alloc(100, align=align)
+    stats = arena.stats()
+    assert (stats.aligned_allocs, stats.promotions) == (0, 0)
 
 
 # -- lifecycle -------------------------------------------------------------

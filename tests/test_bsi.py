@@ -107,7 +107,10 @@ def test_stepping_matches_table_oracle(start, length):
         length = (1 << 32) - start
     hit, checked = range_contains_bsi_counted(start, length)
     assert hit == oracles.table_contains(start, length)
-    assert checked <= -(-length // BSI_PERIOD) + 2
+    assert checked == (length > 0)
+    hit, checked = range_contains_bsi_counted(start, length, strict=True)
+    assert hit == oracles.table_contains(start, length, oracles.HALF_TABLE)
+    assert checked == (length > 0)
 
 
 def test_strict_range_detects_halfword_values():
@@ -120,8 +123,9 @@ def test_candidate_count_small_ranges_at_most_two():
     rng = random.Random(3)
     for _ in range(5000):
         start = rng.randrange(0, (1 << 32) - (1 << 16))
-        _, checked = range_contains_bsi_counted(start, rng.randrange(1, 1 << 16))
-        assert checked <= 2
+        length = rng.randrange(0, 1 << 16)
+        _, checked = range_contains_bsi_counted(start, length)
+        assert checked == (length > 0)
 
 
 def _check_span(start, length, expected):

@@ -1,5 +1,6 @@
 """Trace parsing, round trips, replay accounting, and the generator."""
 
+import io
 from collections import Counter
 
 import pytest
@@ -72,9 +73,11 @@ def test_parse_errors_carry_position(text, fragment):
     ],
 )
 def test_parse_error_columns_point_at_the_token(text, line, column):
-    with pytest.raises(TraceError) as err:
-        parse_trace(text)
-    assert (err.value.line, err.value.column) == (line, column)
+    # a file handle yields its lines with the newline still on
+    for source in (text, io.StringIO(text)):
+        with pytest.raises(TraceError) as err:
+            parse_trace(source)
+        assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_id_reusable_after_free():
