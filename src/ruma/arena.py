@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -221,7 +221,7 @@ class ReplayStats:
 
     ``offset_histogram`` counts the start offsets of every allocation ever
     made (length ``pointer_width``); straddle counts cover live chunks
-    only. ``peak_reserved`` and ``size_histogram`` are filled by trace
+    only. ``peak_reserved`` and ``histogram`` are filled by trace
     replay and omitted from the JSON dict otherwise.
     """
 
@@ -235,25 +235,10 @@ class ReplayStats:
     promotions: int
     aligned_allocs: int
     peak_reserved: int | None = None
-    size_histogram: list | None = None
+    histogram: list | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "live_bytes": self.live_bytes,
-            "reserved_bytes": self.reserved_bytes,
-            "overhead_ratio": self.overhead_ratio,
-            "offset_histogram": list(self.offset_histogram),
-            "line_straddles": self.line_straddles,
-            "page_straddles": self.page_straddles,
-            "per_class": [dict(c) for c in self.per_class],
-            "promotions": self.promotions,
-            "aligned_allocs": self.aligned_allocs,
-        }
-        if self.peak_reserved is not None:
-            out["peak_reserved"] = self.peak_reserved
-        if self.size_histogram is not None:
-            out["histogram"] = [dict(b) for b in self.size_histogram]
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 class Arena:

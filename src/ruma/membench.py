@@ -4,11 +4,14 @@ Times vectorized memory access at offsets realizing four classes: A
 (aligned), U (unaligned inside one cache line), BC (straddling a cache
 line border), BP (straddling a page border). Each timed sweep touches one
 element per page at the class offset, so every single access in a sweep
-has the stated alignment. Absolute penalties are hardware dependent;
-expected orderings are flagged pass/warn in the report, never enforced.
+has the stated alignment. The geometry is fixed: a 64-byte cache line,
+4 KiB pages, 2048 pages per sweep, and a 1 MiB bulk copy. Absolute
+penalties are hardware dependent; expected orderings are flagged pass/warn
+in the report, never enforced.
 
-Timing is single-threaded wall time from a monotonic clock; the harness
-pins no CPU and says so in the report notes.
+Timing is single-threaded wall time from a monotonic clock, through one
+routine for every cell; the harness pins no CPU and says so in the report
+notes.
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ CSV_HEADER = "class,width,op,seconds,ratio"
 
 _SUPPORTED_WIDTHS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
 _MIN_TIMED = 50  # timed cell must exceed this many clock ticks
+_CACHE_LINE = 64
+_PAGE_SIZE = 4096
+_TARGETS = 2048  # pages a sweep touches, one element each
+_COPY_BYTES = 1 << 20
+_COPY_ITERATIONS = 100_000
 
 
 class AccessClass(str, Enum):
@@ -59,29 +67,19 @@ class BenchSpec:
     iterations: int = 134_217_728
     op: str = "load"
 
-    def validate(self, cache_line: int) -> None:
-        if self.width > cache_line:
-            raise BenchError(
-                f"access width {self.width} exceeds the cache line ({cache_line})"
-            )
+    def validate(self) -> None:
         if self.width not in _SUPPORTED_WIDTHS:
             raise BenchError(f"access width must be one of 2, 4, 8, got {self.width}")
         if self.op not in OP_KINDS:
             raise BenchError(f"op must be one of {OP_KINDS}, got {self.op!r}")
         if self.iterations < 1:
             raise BenchError(f"iterations must be at least 1, got {self.iterations}")
-        if self.width == cache_line:
-            raise BenchError(
-                "unaligned access of width == cache_line always crosses a border"
-            )
 
 
-def validate_offset(
-    access_class: AccessClass, offset: int, width: int, cache_line: int, page_size: int
-) -> None:
+def validate_offset(access_class: AccessClass, offset: int, width: int) -> None:
     """Hard check that ``offset`` realizes its class; raises otherwise."""
-    line_x = _spans_border(offset, width, cache_line)
-    page_x = _spans_border(offset, width, page_size)
+    line_x = _spans_border(offset, width, _CACHE_LINE)
+    page_x = _spans_border(offset, width, _PAGE_SIZE)
     ok = {
         AccessClass.A: offset % width == 0 and not line_x and not page_x,
         AccessClass.U: offset % width != 0 and not line_x and not page_x,
@@ -91,23 +89,23 @@ def validate_offset(
     if not ok:
         raise BenchError(
             f"offset {offset} does not realize access class {access_class} "
-            f"(width {width}, line {cache_line}, page {page_size})"
+            f"(width {width}, line {_CACHE_LINE}, page {_PAGE_SIZE})"
         )
 
 
-def plan_offsets(spec: BenchSpec, cache_line: int = 64, page_size: int = 4096):
+def plan_offsets(spec: BenchSpec):
     """Derive one offset per access class and validate each against the
     border predicates before anything is timed."""
-    spec.validate(cache_line)
+    spec.validate()
     w = spec.width
     offsets = {
         AccessClass.A: 0,
         AccessClass.U: w // 2,
-        AccessClass.BC: cache_line - w // 2,
-        AccessClass.BP: page_size - w // 2,
+        AccessClass.BC: _CACHE_LINE - w // 2,
+        AccessClass.BP: _PAGE_SIZE - w // 2,
     }
     for cls, off in offsets.items():
-        validate_offset(cls, off, w, cache_line, page_size)
+        validate_offset(cls, off, w)
     return offsets
 
 
@@ -133,18 +131,13 @@ class BenchCell:
 
 @dataclass
 class BenchReport:
-    cache_line: int
-    page_size: int
     cells: list = field(default_factory=list)
     orderings: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
     def as_dict(self):
         return {
-            "environment": {
-                "cache_line": self.cache_line,
-                "page_size": self.page_size,
-            },
+            "environment": {"cache_line": _CACHE_LINE, "page_size": _PAGE_SIZE},
             "cells": [c.as_dict() for c in self.cells],
             "orderings": list(self.orderings),
             "notes": list(self.notes),
@@ -166,11 +159,13 @@ def _op_function(op: str):
     return lambda view: np.add(view, 1, out=view)
 
 
-def _time_cell(view, op_fn, sweeps: int) -> float:
-    op_fn(view)  # populate pages and warm caches before timing
+def _time_cell(op_fn, target, repeats: int) -> float:
+    """Wall time of ``repeats`` calls of ``op_fn(target)`` after one
+    untimed call."""
+    op_fn(target)  # populate pages and warm caches before timing
     t0 = time.perf_counter()
-    for _ in range(sweeps):
-        op_fn(view)
+    for _ in range(repeats):
+        op_fn(target)
     elapsed = time.perf_counter() - t0
     resolution = time.get_clock_info("perf_counter").resolution
     if elapsed <= _MIN_TIMED * resolution:
@@ -180,50 +175,42 @@ def _time_cell(view, op_fn, sweeps: int) -> float:
     return elapsed
 
 
-def run_bench(
-    spec: BenchSpec,
-    cache_line: int = 64,
-    page_size: int = 4096,
-    pages: int = 2048,
-) -> BenchReport:
+def _cells(seconds: dict, width: int, op: str) -> list:
+    """One cell per timed class, each with its ratio to the A cell."""
+    base = seconds[AccessClass.A]
+    return [
+        BenchCell(cls.value, width, op, s, s / base, (s / base - 1.0) * 100.0)
+        for cls, s in seconds.items()
+    ]
+
+
+def run_bench(spec: BenchSpec) -> BenchReport:
     """Time all four access classes for one op kind.
 
-    The backing buffer holds ``pages`` pages plus slack; each sweep reads
-    or writes one element per page at the class offset, and sweeps repeat
-    until at least ``spec.iterations`` element accesses ran per class.
+    Each sweep reads or writes one element in each of 2048 pages at the
+    class offset, and sweeps repeat until at least ``spec.iterations``
+    element accesses ran per class.
     """
-    offsets = plan_offsets(spec, cache_line, page_size)
+    offsets = plan_offsets(spec)
     dtype = _SUPPORTED_WIDTHS[spec.width]
-    buf = np.zeros(pages * page_size + page_size, dtype=np.uint8)
-    sweeps = -(-spec.iterations // pages)
+    buf = np.zeros((_TARGETS + 1) * _PAGE_SIZE, dtype=np.uint8)
+    sweeps = -(-spec.iterations // _TARGETS)
     op_fn = _op_function(spec.op)
-
-    report = BenchReport(cache_line=cache_line, page_size=page_size)
     seconds = {}
     for cls, off in offsets.items():
         view = np.ndarray(
-            shape=(pages,), dtype=dtype, buffer=buf, offset=off, strides=(page_size,)
+            shape=(_TARGETS,), dtype=dtype, buffer=buf, offset=off, strides=(_PAGE_SIZE,)
         )
-        seconds[cls] = _time_cell(view, op_fn, sweeps)
-    base = seconds[AccessClass.A]
-    for cls in AccessClass:
-        ratio = seconds[cls] / base
-        report.cells.append(
-            BenchCell(
-                access_class=cls.value,
-                width=spec.width,
-                op=spec.op,
-                seconds=seconds[cls],
-                ratio=ratio,
-                penalty_pct=(ratio - 1.0) * 100.0,
-            )
-        )
-    report.orderings.extend(_ordering_checks(spec, seconds))
-    report.notes.append("single-threaded, no CPU pinning")
-    report.notes.append(
-        f"{sweeps * pages} accesses per class ({sweeps} sweeps x {pages} targets)"
+        seconds[cls] = _time_cell(op_fn, view, sweeps)
+    return BenchReport(
+        cells=_cells(seconds, spec.width, spec.op),
+        orderings=_ordering_checks(spec, seconds),
+        notes=[
+            "single-threaded, no CPU pinning",
+            f"{sweeps * _TARGETS} accesses per class "
+            f"({sweeps} sweeps x {_TARGETS} targets)",
+        ],
     )
-    return report
 
 
 def _ordering_checks(spec: BenchSpec, seconds) -> list:
@@ -247,52 +234,33 @@ def _ordering_checks(spec: BenchSpec, seconds) -> list:
     ]
 
 
-def run_copy_bench(
-    copy_bytes: int = 1 << 20, iterations: int = 100_000, scale: float = 1.0
-):
-    """Bulk-copy cells: one aligned and one byte-misaligned source and
-    destination copy of ``copy_bytes``, repeated ``iterations * scale``
-    times."""
-    if copy_bytes < 1:
-        raise BenchError("copy size must be positive")
-    iters = max(1, round(iterations * scale))
-    src = np.zeros(copy_bytes + 16, dtype=np.uint8)
-    dst = np.zeros(copy_bytes + 16, dtype=np.uint8)
-    src_mv, dst_mv = memoryview(src), memoryview(dst)
+def run_copy_bench(scale: float = 1.0) -> list:
+    """Bulk-copy cells: an aligned and a byte-misaligned copy of 1 MiB
+    between two buffers, each repeated ``round(100_000 * scale)`` times."""
+    iters = max(1, round(_COPY_ITERATIONS * scale))
+    src_mv = memoryview(np.zeros(_COPY_BYTES + 16, dtype=np.uint8))
+    dst_mv = memoryview(np.zeros(_COPY_BYTES + 16, dtype=np.uint8))
 
-    def timed(s_off: int, d_off: int) -> float:
-        dst_mv[d_off : d_off + copy_bytes] = src_mv[s_off : s_off + copy_bytes]
-        t0 = time.perf_counter()
-        for _ in range(iters):
-            dst_mv[d_off : d_off + copy_bytes] = src_mv[s_off : s_off + copy_bytes]
-        return time.perf_counter() - t0
+    def copy(off: int) -> None:
+        dst_mv[off : off + _COPY_BYTES] = src_mv[off : off + _COPY_BYTES]
 
-    aligned = timed(0, 0)
-    misaligned = timed(1, 1)
-    return [
-        BenchCell("A", copy_bytes, "copy", aligned, 1.0, 0.0),
-        BenchCell(
-            "U", copy_bytes, "copy", misaligned,
-            misaligned / aligned, (misaligned / aligned - 1.0) * 100.0,
-        ),
-    ]
+    seconds = {
+        AccessClass.A: _time_cell(copy, 0, iters),
+        AccessClass.U: _time_cell(copy, 1, iters),
+    }
+    return _cells(seconds, _COPY_BYTES, "copy")
 
 
 def full_report(
     width: int = 8, iterations: int = 1 << 20, scale: float = 0.01
 ) -> BenchReport:
-    """All op kinds at one width in ``run_bench``'s default geometry, plus
-    the bulk-copy pair."""
+    """All op kinds at one width, plus the bulk-copy pair."""
     parts = [
         run_bench(BenchSpec(width=width, iterations=iterations, op=op))
         for op in OP_KINDS
     ]
-    merged = BenchReport(cache_line=parts[0].cache_line, page_size=parts[0].page_size)
-    for part in parts:
-        merged.cells.extend(part.cells)
-        merged.orderings.extend(part.orderings)
-        for note in part.notes:
-            if note not in merged.notes:
-                merged.notes.append(note)
-    merged.cells.extend(run_copy_bench(scale=scale))
-    return merged
+    return BenchReport(
+        cells=[c for part in parts for c in part.cells] + run_copy_bench(scale=scale),
+        orderings=[o for part in parts for o in part.orderings],
+        notes=parts[0].notes,  # every op kind runs the same sweeps
+    )

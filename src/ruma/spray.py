@@ -37,6 +37,9 @@ __all__ = [
 # is one ulp lower (2.5758293035489), and the interval then changes in its
 # last bit.
 _Z = 2.5758293035489004
+# Shift draws monte_carlo holds in memory at once; a batch is as many
+# whole chains as fit, so one chain may not need more.
+_BATCH_DRAWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -84,8 +87,10 @@ class AttackScenario:
                 f"granularity {self.granularity} must divide pointer width "
                 f"{self.pointer_width}"
             )
-        if self.chain_length < 1:
-            raise ValueError("chain_length must be at least 1")
+        if not 1 <= self.chain_length <= _BATCH_DRAWS:
+            raise ValueError(
+                f"chain_length must be in [1, {_BATCH_DRAWS}], got {self.chain_length}"
+            )
         if self.pattern.width != self.pointer_width:
             raise ValueError("pattern width must equal the scenario pointer width")
 
@@ -135,7 +140,7 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
     rng = np.random.Generator(np.random.Philox(seed))
     successes = 0
     remaining = trials
-    batch = max(1, min(trials, 1_000_000 // k))
+    batch = max(1, min(trials, _BATCH_DRAWS // k))
     while remaining:
         n = min(batch, remaining)
         draws = rng.integers(0, states, size=(n, k))

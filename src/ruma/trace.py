@@ -14,6 +14,7 @@ id. Replay is sequential by definition; parsing is pure.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -159,7 +160,7 @@ def replay_into(arena: Arena, events) -> ReplayStats:
             ) from exc
     stats = arena.stats()
     stats.peak_reserved = arena.peak_reserved
-    stats.size_histogram = [
+    stats.histogram = [
         {"bucket_max": b, "count": histogram[b]} for b in sorted(histogram)
     ]
     return stats
@@ -191,14 +192,19 @@ def generate_trace(
         raise ValueError("events must be non-negative")
     if min_size < 0 or max_size < min_size:
         raise ValueError("bad size bounds")
+    if not 0 < median < math.inf:
+        raise ValueError(f"median must be positive and finite, got {median}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
     rng = np.random.Generator(np.random.Philox(seed))
     out = []
     live = []
     next_id = 1
 
     def draw_size() -> int:
-        size = int(round(float(rng.lognormal(np.log(median), sigma))))
-        return max(min_size, min(max_size, size))
+        # clamped before rounding, so a draw that overflows to inf is max_size
+        size = float(rng.lognormal(np.log(median), sigma))
+        return int(round(max(min_size, min(max_size, size))))
 
     for _ in range(events):
         roll = float(rng.random())

@@ -266,7 +266,7 @@ def test_criterion_8_microbenchmark_methodology():
         }[cls.value]
         assert (True, line_x, page_x) == (True, expected[1], expected[2]), cls
 
-    report = run_bench(spec, pages=256)
+    report = run_bench(spec)
     classes = [c.access_class for c in report.cells]
     statuses = {o["status"] for o in report.orderings}
     ok = (

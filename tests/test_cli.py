@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from conftest import run_cli, run_python
-from ruma.cli import build_parser, dispatch
+from ruma.cli import build_parser, dispatch, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -140,6 +140,39 @@ def test_bad_domain_input_is_usage_error(tmp_path):
 
     proc = run_cli("spray-sim", "--width", "4", "--pattern", "ffffffffff")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "gen-trace --median inf",
+        "gen-trace --sigma inf",
+        "gen-trace --median 0",
+        "gen-trace --median -5",
+        "spray-sim --pattern ff --chain 1000001 --trials 1",
+        "filter-check --start 0 --len -1",
+        "bench --iters 0",
+    ],
+)
+def test_out_of_domain_values_exit_2_without_traceback(argv, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["ruma", *argv.split()])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("ruma: error:") and "Traceback" not in err
+
+
+def test_overflowing_size_draw_is_max_size(monkeypatch, capsys):
+    # at seed 1, some of these draws overflow a float to inf
+    argv = "ruma gen-trace --events 10 --seed 1 --median 1e308 --sigma 5 --max-size 512"
+    monkeypatch.setattr("sys.argv", argv.split())
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    events = [line.split() for line in capsys.readouterr().out.splitlines()]
+    sizes = {int(tokens[2]) for tokens in events if len(tokens) == 3}
+    assert len(events) == 10 and sizes == {512}
 
 
 def test_filter_check_positive_exit_via_process():

@@ -133,7 +133,7 @@ def test_replay_conservation_and_histogram():
     events = parse_trace("a 1 10\na 2 300\nr 2 20\na 3 5000\nf 1\n")
     stats = replay(events, ArenaConfig(rng_seed=3))
     assert stats.live_bytes == 20 + 5000
-    hist = {b["bucket_max"]: b["count"] for b in stats.size_histogram}
+    hist = {b["bucket_max"]: b["count"] for b in stats.histogram}
     assert sum(hist.values()) == 4  # three allocs plus one realloc
     assert hist[16] == 1 and hist[512] == 1 and hist[32] == 1 and hist[8192] == 1
     assert stats.peak_reserved >= stats.reserved_bytes
