@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .arena import Arena, ArenaConfig
 from .errors import (
-    AccessError,
     BenchError,
     CapacityError,
     ConfigError,
@@ -24,7 +23,6 @@ from .errors import (
 from .spray import AttackScenario, SprayPattern, chained_success, monte_carlo
 
 __all__ = [
-    "AccessError",
     "Arena",
     "ArenaConfig",
     "AttackScenario",

@@ -15,12 +15,9 @@ would cover a byte-shift-independent address (see :mod:`ruma.bsi`). Spans
 of ``BSI_PERIOD`` bytes or more are exempt and never checked: every such
 span covers one, so no placement could pass the filter.
 
-Arenas come in two flavors. A simulation arena manages a purely virtual
-address range and never touches real memory, which makes 32-bit address
-space experiments cheap inside a 64-bit process. A backed arena
-(``Arena(config, backed=True)``) additionally owns a contiguous byte
-buffer and supports :meth:`Arena.write` / :meth:`Arena.read` through live
-allocations.
+An arena manages a purely virtual address range and never touches real
+memory, which makes 32-bit address space experiments cheap inside a
+64-bit process.
 
 Concurrency contract: an arena has a single logical owner. Operations on
 one arena must be externally serialized; distinct arenas are fully
@@ -37,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .bsi import BSI_PERIOD, range_contains_bsi_counted
-from .errors import AccessError, CapacityError, ConfigError, HandleError
+from .errors import CapacityError, ConfigError, HandleError
 
 __all__ = [
     "Allocation",
@@ -249,7 +246,7 @@ class Arena:
     stream seeded with ``config.rng_seed``.
     """
 
-    def __init__(self, config: ArenaConfig, *, backed: bool = False):
+    def __init__(self, config: ArenaConfig):
         config.validate()
         self._cfg = config
         self._table = build_class_table(
@@ -272,7 +269,6 @@ class Arena:
         self._live = {}
         self._next_id = 1
         self._offsets = iter(())
-        self._mem = bytearray(usable) if backed else None
 
         self.counters = ArenaCounters()
         self._reserved_bytes = 0  # running, for the peak
@@ -448,43 +444,14 @@ class Arena:
 
         The old handle is consumed. The new chunk is an ordinary randomized
         one: an explicit alignment of the old chunk is not carried over, as
-        with C ``realloc`` of ``memalign``'d memory. In backed mode the first
-        min(old, new) bytes are preserved.
+        with C ``realloc`` of ``memalign``'d memory.
         """
-        rec = self._live.get(alloc_id)
-        if rec is None:
+        if alloc_id not in self._live:
             raise HandleError(f"unknown or already freed allocation id {alloc_id}")
         new = self.alloc(new_size)
-        if self._mem is not None:
-            n = min(rec.requested, new.requested)
-            src = rec.start - self._base
-            dst = new.start - self._base
-            self._mem[dst : dst + n] = self._mem[src : src + n]
         self.free(alloc_id)
         self.counters.total_reallocs += 1
         return new
-
-    # -- backed-mode data access ----------------------------------------
-
-    def _backed_span(self, alloc_id: int, at: int, length: int) -> int:
-        if self._mem is None:
-            raise AccessError("simulation arena has no backing memory")
-        rec = self._live.get(alloc_id)
-        if rec is None:
-            raise HandleError(f"unknown or already freed allocation id {alloc_id}")
-        if at < 0 or length < 0 or at + length > rec.requested:
-            raise AccessError(
-                f"access [{at}, {at + length}) outside allocation of {rec.requested} bytes"
-            )
-        return rec.start - self._base + at
-
-    def write(self, alloc_id: int, data: bytes, at: int = 0) -> None:
-        idx = self._backed_span(alloc_id, at, len(data))
-        self._mem[idx : idx + len(data)] = data
-
-    def read(self, alloc_id: int, length: int, at: int = 0) -> bytes:
-        idx = self._backed_span(alloc_id, at, length)
-        return bytes(self._mem[idx : idx + length])
 
     # -- inspection -------------------------------------------------------
 

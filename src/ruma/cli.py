@@ -4,7 +4,8 @@ One executable, five subcommands: replay, spray-sim, bench, filter-check,
 gen-trace. Output is JSON on stdout (gen-trace emits trace text; bench can
 also write CSV). Runs with --seed are bit-identical apart from timing
 fields. Exit codes: 0 success, 1 domain verdict (filter-check found a
-byte-shift-independent address), 2 usage errors.
+byte-shift-independent address), 2 usage errors, 141 when the reader
+closes stdout early.
 """
 
 from __future__ import annotations
@@ -240,7 +241,15 @@ def main() -> None:
         print(f"ruma: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from exc
     if output:
-        print(output)
+        try:
+            print(output)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader left (``| head``). Point stdout at devnull so the
+            # flush at interpreter exit stays quiet, and exit 128 + SIGPIPE
+            # as a shell reports a killed writer, not 1, filter-check's verdict.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(141) from None
     raise SystemExit(code)
 
 

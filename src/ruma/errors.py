@@ -17,10 +17,6 @@ class HandleError(RumaError):
     """Operation referenced an unknown, freed, or consumed allocation."""
 
 
-class AccessError(RumaError):
-    """Read or write outside an allocation, or arena has no backing memory."""
-
-
 class TraceError(RumaError):
     """Malformed or referentially invalid trace input."""
 

@@ -12,10 +12,18 @@ in the report, never enforced.
 Timing is single-threaded wall time from a monotonic clock, through one
 routine for every cell; the harness pins no CPU and says so in the report
 notes.
+
+Limitation: a view whose offset is not a multiple of its element width is
+not aligned for numpy (``flags.aligned`` is False), so numpy runs its
+slower unaligned loop over it. For the store and load-store ops that loop
+costs U, BC and BP alike and dominates their time, so their ratios to A
+measure numpy's unaligned path, not the CPU's penalty (see the README for
+timings). Loads are barely affected.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -236,7 +244,10 @@ def _ordering_checks(spec: BenchSpec, seconds) -> list:
 
 def run_copy_bench(scale: float = 1.0) -> list:
     """Bulk-copy cells: an aligned and a byte-misaligned copy of 1 MiB
-    between two buffers, each repeated ``round(100_000 * scale)`` times."""
+    between two buffers, each repeated ``round(100_000 * scale)`` times
+    (at least once); ``scale`` must be positive and finite."""
+    if not 0 < scale < math.inf:
+        raise BenchError(f"scale must be positive and finite, got {scale}")
     iters = max(1, round(_COPY_ITERATIONS * scale))
     src_mv = memoryview(np.zeros(_COPY_BYTES + 16, dtype=np.uint8))
     dst_mv = memoryview(np.zeros(_COPY_BYTES + 16, dtype=np.uint8))

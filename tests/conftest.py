@@ -10,8 +10,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
 
-def run_python(*args, env=None, cwd=None):
-    """Run ``python *args`` in a child process.
+def child_env(env=None):
+    """Environment for a child Python process.
 
     The absolute ``src`` path goes in front of any inherited ``PYTHONPATH``,
     so the child imports this checkout's ``ruma`` from any working directory,
@@ -20,13 +20,18 @@ def run_python(*args, env=None, cwd=None):
     """
     pythonpath = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     full_env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(pythonpath))
-    if env:
-        full_env.update(env)
+    full_env.update(env or {})
+    return full_env
+
+
+def run_python(*args, env=None, cwd=None):
+    """Run ``python *args`` in a child process whose environment is
+    ``child_env(env)``."""
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env=full_env,
+        env=child_env(env),
         cwd=cwd,
     )
 

@@ -10,14 +10,12 @@ from scipy.stats import chisquare
 from ruma import Arena, ArenaConfig, CapacityError, ConfigError, HandleError
 from ruma.arena import LARGE_CLASS, build_class_table
 from ruma.bsi import BSI_PERIOD
-from ruma.errors import AccessError
 
 import oracles
 
 
 def make_arena(**overrides):
-    backed = overrides.pop("backed", False)
-    return Arena(ArenaConfig(**overrides), backed=backed)
+    return Arena(ArenaConfig(**overrides))
 
 
 # -- configuration ---------------------------------------------------------
@@ -294,6 +292,7 @@ def test_realloc_moves_and_consumes_old_handle():
     assert not oracles.spans_border(bigger.start, 200, 4096)
     with pytest.raises(HandleError):
         arena.realloc(new.id, 8)
+    assert arena.counters.total_allocs == 3, "a dead handle allocates nothing"
 
 
 def test_realloc_returns_an_ordinary_randomized_chunk():
@@ -432,54 +431,6 @@ def test_stats_dict_shape(schemas):
 
     stats = make_arena(rng_seed=26).stats()
     jsonschema.validate(stats.as_dict(), schemas["replay_stats"])
-
-
-# -- backed mode -----------------------------------------------------------
-
-
-def test_backed_mode_data_integrity_across_churn():
-    arena = make_arena(backed=True, rng_seed=27, arena_capacity=1 << 22)
-    keep = []
-    for i in range(50):
-        rec = arena.alloc(64 + i)
-        payload = bytes([(i * 17 + j) % 256 for j in range(rec.requested)])
-        arena.write(rec.id, payload)
-        keep.append((rec.id, payload))
-    # unrelated churn
-    scratch = [arena.alloc(100) for _ in range(200)]
-    for rec in scratch:
-        arena.write(rec.id, b"\xaa" * 100)
-        arena.free(rec.id)
-    for alloc_id, payload in keep:
-        assert arena.read(alloc_id, len(payload)) == payload
-
-
-def test_backed_realloc_preserves_prefix():
-    arena = make_arena(backed=True, rng_seed=28)
-    rec = arena.alloc(32)
-    arena.write(rec.id, bytes(range(32)))
-    grown = arena.realloc(rec.id, 128)
-    assert arena.read(grown.id, 32) == bytes(range(32))
-    shrunk = arena.realloc(grown.id, 8)
-    assert arena.read(shrunk.id, 8) == bytes(range(8))
-
-
-def test_backed_access_bounds():
-    arena = make_arena(backed=True, rng_seed=29)
-    rec = arena.alloc(16)
-    with pytest.raises(AccessError):
-        arena.write(rec.id, b"x" * 17)
-    with pytest.raises(AccessError):
-        arena.read(rec.id, 4, at=14)
-    with pytest.raises(HandleError):
-        arena.read(999, 1)
-
-
-def test_simulation_mode_has_no_backing():
-    arena = make_arena(rng_seed=30)
-    rec = arena.alloc(16)
-    with pytest.raises(AccessError):
-        arena.write(rec.id, b"hi")
 
 
 # -- 32-bit filtering --------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Stateful model test: random operation sequences on a backed Arena are
+"""Stateful model test: random operation sequences on an Arena are
 checked after every step against a dict of what the live set must be.
 
 The model derives each chunk's class and reserve from the class table and
-the request alone, keeps the bytes it wrote, and counts the aligned allocs
-that succeeded. Capacities are small, so ``CapacityError`` paths run too.
+the request alone, and counts the aligned allocs that succeeded.
+Capacities are small, so ``CapacityError`` paths run too.
 """
 
-import random
 from collections import Counter
 
 from hypothesis import settings
@@ -29,24 +28,19 @@ SIZES = st.one_of(
     st.integers(0, 120), st.integers(0, 2100), st.integers(2049, 3 * 4096)
 )
 ALIGNS = st.integers(0, 12).map(lambda k: 1 << k)  # 1 .. the 4096-byte page
-PAYLOAD_SEEDS = st.integers(0, 2**32 - 1)
 # 32-bit arenas of 64 KiB whose range covers a BSI address: in the first
 # page (1517, 2000), where class runs are carved, or in the last (1075,
 # 2850), where large spans are.
 BSI_SEEDS = (1075, 1517, 2000, 2850)
 
 
-def _payload(seed: int, n: int) -> bytes:
-    return random.Random(seed).randbytes(n)
-
-
 class ArenaModel(RuleBasedStateMachine):
     def start(self, config: ArenaConfig) -> None:
-        self.arena = Arena(config, backed=True)
+        self.arena = Arena(config)
         self.cfg = config
         self.table = self.arena.size_class_table
         self.pad = config.pointer_width if config.randomize else 0
-        self.model = {}  # id -> (requested, class index, bytes)
+        self.model = {}  # id -> (requested, class index)
         self.aligned = self.promoted = self.peak = 0
 
     # -- the model's own placement decisions ---------------------------------
@@ -61,9 +55,9 @@ class ArenaModel(RuleBasedStateMachine):
         return self.pad + (size if ci == LARGE_CLASS else self.table[ci].max_size)
 
     def _total_reserved(self) -> int:
-        return sum(self._reserved(n, ci) for n, ci, _ in self.model.values())
+        return sum(self._reserved(n, ci) for n, ci in self.model.values())
 
-    def _record(self, rec, align, seed: int) -> None:
+    def _record(self, rec, align) -> None:
         ci = self._class_for(rec.requested, align)
         assert rec.size_class_index == ci
         if align is None:
@@ -73,27 +67,25 @@ class ArenaModel(RuleBasedStateMachine):
             assert rec.offset == 0 and rec.start % align == 0
             self.aligned += 1
             self.promoted += ci != self._class_for(rec.requested, None)
-        data = _payload(seed, rec.requested)
-        self.arena.write(rec.id, data)
-        self.model[rec.id] = (rec.requested, ci, data)
+        self.model[rec.id] = (rec.requested, ci)
 
-    def _alloc(self, size: int, align, seed: int) -> None:
+    def _alloc(self, size: int, align) -> None:
         try:
             rec = self.arena.alloc(size, align=align)
         except CapacityError:
             return
         self.peak = max(self.peak, self._total_reserved() + rec.reserved)
-        self._record(rec, align, seed)
+        self._record(rec, align)
 
     # -- operations ------------------------------------------------------------
 
-    @rule(size=SIZES, seed=PAYLOAD_SEEDS)
-    def alloc(self, size, seed):
-        self._alloc(size, None, seed)
+    @rule(size=SIZES)
+    def alloc(self, size):
+        self._alloc(size, None)
 
-    @rule(size=SIZES, align=ALIGNS, seed=PAYLOAD_SEEDS)
-    def aligned_alloc(self, size, align, seed):
-        self._alloc(size, align, seed)
+    @rule(size=SIZES, align=ALIGNS)
+    def aligned_alloc(self, size, align):
+        self._alloc(size, align)
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
@@ -103,28 +95,16 @@ class ArenaModel(RuleBasedStateMachine):
         del self.model[alloc_id]
 
     @precondition(lambda self: self.model)
-    @rule(data=st.data(), size=SIZES, seed=PAYLOAD_SEEDS)
-    def realloc(self, data, size, seed):
+    @rule(data=st.data(), size=SIZES)
+    def realloc(self, data, size):
         alloc_id = data.draw(st.sampled_from(sorted(self.model)))
         try:
             rec = self.arena.realloc(alloc_id, size)
         except CapacityError:
             return
         self.peak = max(self.peak, self._total_reserved() + rec.reserved)
-        old = self.model.pop(alloc_id)[2]
-        kept = min(len(old), size)
-        assert self.arena.read(rec.id, kept) == old[:kept]
-        self._record(rec, None, seed)
-
-    @precondition(lambda self: self.model)
-    @rule(data=st.data(), seed=PAYLOAD_SEEDS)
-    def write(self, data, seed):
-        alloc_id = data.draw(st.sampled_from(sorted(self.model)))
-        requested, ci, old = self.model[alloc_id]
-        at = data.draw(st.integers(0, requested))
-        chunk = _payload(seed, data.draw(st.integers(0, requested - at)))
-        self.arena.write(alloc_id, chunk, at)
-        self.model[alloc_id] = (requested, ci, old[:at] + chunk + old[at + len(chunk):])
+        del self.model[alloc_id]
+        self._record(rec, None)
 
     # -- invariants ------------------------------------------------------------
 
@@ -133,10 +113,9 @@ class ArenaModel(RuleBasedStateMachine):
         live = self.arena.live_allocations()
         assert {a.id for a in live} == self.model.keys()
         for a in live:
-            requested, ci, data = self.model[a.id]
+            requested, ci = self.model[a.id]
             assert (a.requested, a.size_class_index) == (requested, ci)
             assert a.reserved == self._reserved(requested, ci)
-            assert self.arena.read(a.id, requested) == data
 
     @invariant()
     def live_slots_are_disjoint(self):
@@ -164,10 +143,10 @@ class ArenaModel(RuleBasedStateMachine):
     @invariant()
     def stats_match_model(self):
         stats = self.arena.stats()
-        assert stats.live_bytes == sum(n for n, _, _ in self.model.values())
+        assert stats.live_bytes == sum(n for n, _ in self.model.values())
         assert stats.reserved_bytes == self._total_reserved()
         assert self.arena.peak_reserved == self.peak
-        per_class = Counter(ci for _, ci, _ in self.model.values())
+        per_class = Counter(ci for _, ci in self.model.values())
         assert [c["live"] for c in stats.per_class] == [
             per_class[i] for i in range(len(self.table))
         ]

@@ -1,12 +1,14 @@
 """CLI behavior: output shapes, schema validation, exit codes, help."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from conftest import run_cli, run_python
+from conftest import child_env, run_cli, run_python
 from ruma.cli import build_parser, dispatch, main
 
 DATA = Path(__file__).parent / "data"
@@ -152,6 +154,10 @@ def test_bad_domain_input_is_usage_error(tmp_path):
         "spray-sim --pattern ff --chain 1000001 --trials 1",
         "filter-check --start 0 --len -1",
         "bench --iters 0",
+        "bench --iters 10 --scale inf",
+        "bench --iters 10 --scale nan",
+        "bench --iters 10 --scale 0",
+        "bench --iters 10 --scale -1",
     ],
 )
 def test_out_of_domain_values_exit_2_without_traceback(argv, monkeypatch, capsys):
@@ -173,6 +179,22 @@ def test_overflowing_size_draw_is_max_size(monkeypatch, capsys):
     events = [line.split() for line in capsys.readouterr().out.splitlines()]
     sizes = {int(tokens[2]) for tokens in events if len(tokens) == 3}
     assert len(events) == 10 and sizes == {512}
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # as in `ruma gen-trace --events 100000 | head -1`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ruma.cli", "gen-trace", "--events", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert "Traceback" not in err, err
 
 
 def test_filter_check_positive_exit_via_process():
