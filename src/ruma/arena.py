@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 LARGE_CLASS = -1  # size_class_index of chunks served outside the class pools
+CACHE_LINE = 64  # the one geometry the border rules and ruma.membench model
+PAGE_SIZE = 4096
 
 _OFFSET_BATCH = 8192
 _USER_SPACE_BITS = 47  # 64-bit base addresses are drawn below this, like user space
@@ -81,9 +83,10 @@ class ArenaConfig:
     config file format accepted by :meth:`from_file`.
     """
 
+    # read-only geometry, not fields: no constructor or config file sets them
+    cache_line = CACHE_LINE
+    page_size = PAGE_SIZE
     pointer_width: int = 8
-    cache_line: int = 64
-    page_size: int = 4096
     randomize: bool = True
     filter_bsi: bool = False
     address_space_bits: int = 64
@@ -93,15 +96,6 @@ class ArenaConfig:
     def validate(self) -> None:
         if self.pointer_width not in (4, 8):
             raise ConfigError(f"pointer_width must be 4 or 8, got {self.pointer_width}")
-        if not _is_pow2(self.cache_line):
-            raise ConfigError(f"cache_line must be a power of two, got {self.cache_line}")
-        if not _is_pow2(self.page_size):
-            raise ConfigError(f"page_size must be a power of two, got {self.page_size}")
-        if self.cache_line >= self.page_size:
-            raise ConfigError(
-                f"cache_line ({self.cache_line}) must be smaller than "
-                f"page_size ({self.page_size})"
-            )
         if self.address_space_bits not in (32, 64):
             raise ConfigError(
                 f"address_space_bits must be 32 or 64, got {self.address_space_bits}"
@@ -111,7 +105,7 @@ class ArenaConfig:
         if self.arena_capacity <= 0:
             raise ConfigError("arena_capacity must be positive")
         # Room is needed for a page-aligned base strictly inside the space.
-        if self.arena_capacity + 2 * self.page_size > 1 << self.address_space_bits:
+        if self.arena_capacity + 2 * PAGE_SIZE > 1 << self.address_space_bits:
             raise ConfigError(
                 f"arena_capacity {self.arena_capacity} does not fit a "
                 f"{self.address_space_bits}-bit address space"
@@ -159,8 +153,8 @@ class SizeClass:
     slots_per_run: int  # runs are one page
 
 
-def build_class_table(pointer_width: int, cache_line: int, page_size: int):
-    """Build the geometric class ladder 16, 24, 32, 48, ... up to page_size/2.
+def build_class_table(pointer_width: int):
+    """Build the geometric class ladder 16, 24, 32, 48, ... up to PAGE_SIZE/2.
 
     Each stride is the smallest power of two covering max_size plus the
     randomization pad, so it divides the cache line for small classes and
@@ -169,7 +163,7 @@ def build_class_table(pointer_width: int, cache_line: int, page_size: int):
     """
     maxes = []
     base = 16
-    half_page = page_size // 2
+    half_page = PAGE_SIZE // 2
     while base <= half_page:
         maxes.append(base)
         if base + base // 2 <= half_page:
@@ -178,7 +172,7 @@ def build_class_table(pointer_width: int, cache_line: int, page_size: int):
     table = []
     for m in maxes:
         stride = _next_pow2(m + pointer_width)
-        table.append(SizeClass(m, stride, page_size // stride))
+        table.append(SizeClass(m, stride, PAGE_SIZE // stride))
     return table
 
 
@@ -249,15 +243,13 @@ class Arena:
     def __init__(self, config: ArenaConfig):
         config.validate()
         self._cfg = config
-        self._table = build_class_table(
-            config.pointer_width, config.cache_line, config.page_size
-        )
+        self._table = build_class_table(config.pointer_width)
         self._class_maxes = [c.max_size for c in self._table]
         self._rng = np.random.Generator(np.random.Philox(config.rng_seed))
         # The base is drawn before any offset so that randomize on/off runs
         # of the same seed share the exact same slot layout.
         self._base = self._pick_base()
-        usable = (config.arena_capacity // config.page_size) * config.page_size
+        usable = (config.arena_capacity // PAGE_SIZE) * PAGE_SIZE
         self._end = self._base + usable
         self._run_bump = self._base  # class runs grow upward
         self._large_bump = self._end  # large carving grows downward
@@ -281,11 +273,11 @@ class Arena:
     def _pick_base(self) -> int:
         cfg = self._cfg
         space = 1 << min(cfg.address_space_bits, _USER_SPACE_BITS)
-        if cfg.arena_capacity + 2 * cfg.page_size > space:
+        if cfg.arena_capacity + 2 * PAGE_SIZE > space:
             space = 1 << cfg.address_space_bits
-        top = space - cfg.arena_capacity - cfg.page_size
-        pages = max(top // cfg.page_size, 1)
-        return cfg.page_size * (1 + int(self._rng.integers(0, pages)))
+        top = space - cfg.arena_capacity - PAGE_SIZE
+        pages = max(top // PAGE_SIZE, 1)
+        return PAGE_SIZE * (1 + int(self._rng.integers(0, pages)))
 
     def _next_offset(self) -> int:
         try:
@@ -302,10 +294,6 @@ class Arena:
     @property
     def config(self) -> ArenaConfig:
         return self._cfg
-
-    @property
-    def base(self) -> int:
-        return self._base
 
     @property
     def size_class_table(self):
@@ -333,25 +321,24 @@ class Arena:
         keep identical geometry."""
         if ci != LARGE_CLASS:
             return ci
-        return -max(1, -(-(size + self._cfg.pointer_width) // self._cfg.page_size))
+        return -max(1, -(-(size + self._cfg.pointer_width) // PAGE_SIZE))
 
     def _carve(self, key: int) -> int:
         """Fresh slot for bin ``key``: a new page run for a class, whose
         other slots go to the free list, or a new large span."""
-        page = self._cfg.page_size
         if key < 0:
-            span = -key * page
+            span = -key * PAGE_SIZE
             if self._large_bump - span < self._run_bump:
                 raise CapacityError(f"arena exhausted carving {-key} pages")
             self._large_bump -= span
             return self._large_bump
         cls = self._table[key]
-        if self._run_bump + page > self._large_bump:
+        if self._run_bump + PAGE_SIZE > self._large_bump:
             raise CapacityError(
                 f"arena exhausted carving a run for class {cls.max_size}"
             )
         run = self._run_bump
-        self._run_bump += page
+        self._run_bump += PAGE_SIZE
         self._class_capacity[key] += cls.slots_per_run
         last = run + (cls.slots_per_run - 1) * cls.stride
         self._free[key].extend(range(last, run, -cls.stride))
@@ -389,7 +376,7 @@ class Arena:
         if align is not None:
             if not _is_pow2(align):
                 raise ValueError(f"alignment must be a power of two, got {align}")
-            if align > cfg.page_size:
+            if align > PAGE_SIZE:
                 raise ValueError(
                     f"alignment {align} beyond the page size is not supported"
                 )
@@ -423,10 +410,10 @@ class Arena:
         self._peak_reserved = max(self._peak_reserved, self._reserved_bytes)
         self._offset_hist[offset] += 1
         guarded = size + cfg.pointer_width
-        if guarded <= cfg.cache_line:
-            if _spans_border(start, size, cfg.cache_line):
+        if guarded <= CACHE_LINE:
+            if _spans_border(start, size, CACHE_LINE):
                 self.counters.line_rule_violations += 1
-        elif guarded <= cfg.page_size and _spans_border(start, size, cfg.page_size):
+        elif guarded <= PAGE_SIZE and _spans_border(start, size, PAGE_SIZE):
             self.counters.page_rule_violations += 1
         return rec
 
@@ -460,14 +447,13 @@ class Arena:
         return list(self._live.values())
 
     def stats(self) -> ReplayStats:
-        line, page = self._cfg.cache_line, self._cfg.page_size
         live_bytes = line_straddles = page_straddles = 0
         class_live = [0] * (len(self._table) + 1)  # the last counts LARGE_CLASS
         for a in self._live.values():
             live_bytes += a.requested
             class_live[a.size_class_index] += 1
-            line_straddles += _spans_border(a.start, a.requested, line)
-            page_straddles += _spans_border(a.start, a.requested, page)
+            line_straddles += _spans_border(a.start, a.requested, CACHE_LINE)
+            page_straddles += _spans_border(a.start, a.requested, PAGE_SIZE)
         per_class = [
             {
                 "max_size": cls.max_size,

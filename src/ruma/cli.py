@@ -61,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay an allocation trace through the arena and print stats",
     )
     p.add_argument("--trace", required=True, help="trace file path")
-    p.add_argument("--config", default=None, help="flat key=value arena config file")
+    p.add_argument("--config", default=None,
+                   help="flat key=value arena config file; its rng_seed is the seed "
+                   f"when neither --seed nor ${SEED_ENV} is given")
     p.add_argument(
         "--randomize", choices=("on", "off"), default=None,
         help="override byte-granularity randomization",
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args, default: int = _DEFAULT_SEED) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
@@ -134,7 +136,7 @@ def _resolve_seed(args) -> int:
             return int(env)
         except ValueError as exc:
             raise RumaError(f"${SEED_ENV} is not an integer: {env!r}") from exc
-    return _DEFAULT_SEED
+    return default
 
 
 def _dump(payload) -> str:
@@ -145,7 +147,8 @@ def _cmd_replay(args) -> tuple[int, str]:
     config = (
         ArenaConfig.from_file(args.config) if args.config else ArenaConfig()
     )
-    overrides = {"rng_seed": _resolve_seed(args)}
+    # without --seed or $RUMA_SEED, the config file's rng_seed stands
+    overrides = {"rng_seed": _resolve_seed(args, config.rng_seed)}
     if args.randomize is not None:
         overrides["randomize"] = args.randomize == "on"
     if args.filter_bsi is not None:

@@ -4,10 +4,10 @@ Times vectorized memory access at offsets realizing four classes: A
 (aligned), U (unaligned inside one cache line), BC (straddling a cache
 line border), BP (straddling a page border). Each timed sweep touches one
 element per page at the class offset, so every single access in a sweep
-has the stated alignment. The geometry is fixed: a 64-byte cache line,
-4 KiB pages, 2048 pages per sweep, and a 1 MiB bulk copy. Absolute
-penalties are hardware dependent; expected orderings are flagged pass/warn
-in the report, never enforced.
+has the stated alignment. The geometry is fixed: the arena's 64-byte
+cache line and 4 KiB page, 2048 pages per sweep, and a 1 MiB bulk copy.
+Absolute penalties are hardware dependent; expected orderings are flagged
+pass/warn in the report, never enforced.
 
 Timing is single-threaded wall time from a monotonic clock, through one
 routine for every cell; the harness pins no CPU and says so in the report
@@ -23,14 +23,13 @@ timings). Loads are barely affected.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .arena import _spans_border
+from .arena import CACHE_LINE, PAGE_SIZE, _spans_border
 from .errors import BenchError
 
 __all__ = [
@@ -52,9 +51,8 @@ CSV_HEADER = "class,width,op,seconds,ratio"
 
 _SUPPORTED_WIDTHS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
 _MIN_TIMED = 50  # timed cell must exceed this many clock ticks
-_CACHE_LINE = 64
-_PAGE_SIZE = 4096
 _TARGETS = 2048  # pages a sweep touches, one element each
+_MAX_ITERATIONS = 1 << 27  # the full-size run, and the default
 _COPY_BYTES = 1 << 20
 _COPY_ITERATIONS = 100_000
 
@@ -72,7 +70,7 @@ class AccessClass(str, Enum):
 @dataclass(frozen=True)
 class BenchSpec:
     width: int = 8
-    iterations: int = 134_217_728
+    iterations: int = _MAX_ITERATIONS
     op: str = "load"
 
     def validate(self) -> None:
@@ -80,14 +78,16 @@ class BenchSpec:
             raise BenchError(f"access width must be one of 2, 4, 8, got {self.width}")
         if self.op not in OP_KINDS:
             raise BenchError(f"op must be one of {OP_KINDS}, got {self.op!r}")
-        if self.iterations < 1:
-            raise BenchError(f"iterations must be at least 1, got {self.iterations}")
+        if not 1 <= self.iterations <= _MAX_ITERATIONS:
+            raise BenchError(
+                f"iterations must be in [1, {_MAX_ITERATIONS}], got {self.iterations}"
+            )
 
 
 def validate_offset(access_class: AccessClass, offset: int, width: int) -> None:
     """Hard check that ``offset`` realizes its class; raises otherwise."""
-    line_x = _spans_border(offset, width, _CACHE_LINE)
-    page_x = _spans_border(offset, width, _PAGE_SIZE)
+    line_x = _spans_border(offset, width, CACHE_LINE)
+    page_x = _spans_border(offset, width, PAGE_SIZE)
     ok = {
         AccessClass.A: offset % width == 0 and not line_x and not page_x,
         AccessClass.U: offset % width != 0 and not line_x and not page_x,
@@ -97,7 +97,7 @@ def validate_offset(access_class: AccessClass, offset: int, width: int) -> None:
     if not ok:
         raise BenchError(
             f"offset {offset} does not realize access class {access_class} "
-            f"(width {width}, line {_CACHE_LINE}, page {_PAGE_SIZE})"
+            f"(width {width}, line {CACHE_LINE}, page {PAGE_SIZE})"
         )
 
 
@@ -109,8 +109,8 @@ def plan_offsets(spec: BenchSpec):
     offsets = {
         AccessClass.A: 0,
         AccessClass.U: w // 2,
-        AccessClass.BC: _CACHE_LINE - w // 2,
-        AccessClass.BP: _PAGE_SIZE - w // 2,
+        AccessClass.BC: CACHE_LINE - w // 2,
+        AccessClass.BP: PAGE_SIZE - w // 2,
     }
     for cls, off in offsets.items():
         validate_offset(cls, off, w)
@@ -145,7 +145,7 @@ class BenchReport:
 
     def as_dict(self):
         return {
-            "environment": {"cache_line": _CACHE_LINE, "page_size": _PAGE_SIZE},
+            "environment": {"cache_line": CACHE_LINE, "page_size": PAGE_SIZE},
             "cells": [c.as_dict() for c in self.cells],
             "orderings": list(self.orderings),
             "notes": list(self.notes),
@@ -201,13 +201,13 @@ def run_bench(spec: BenchSpec) -> BenchReport:
     """
     offsets = plan_offsets(spec)
     dtype = _SUPPORTED_WIDTHS[spec.width]
-    buf = np.zeros((_TARGETS + 1) * _PAGE_SIZE, dtype=np.uint8)
+    buf = np.zeros((_TARGETS + 1) * PAGE_SIZE, dtype=np.uint8)
     sweeps = -(-spec.iterations // _TARGETS)
     op_fn = _op_function(spec.op)
     seconds = {}
     for cls, off in offsets.items():
         view = np.ndarray(
-            shape=(_TARGETS,), dtype=dtype, buffer=buf, offset=off, strides=(_PAGE_SIZE,)
+            shape=(_TARGETS,), dtype=dtype, buffer=buf, offset=off, strides=(PAGE_SIZE,)
         )
         seconds[cls] = _time_cell(op_fn, view, sweeps)
     return BenchReport(
@@ -245,9 +245,9 @@ def _ordering_checks(spec: BenchSpec, seconds) -> list:
 def run_copy_bench(scale: float = 1.0) -> list:
     """Bulk-copy cells: an aligned and a byte-misaligned copy of 1 MiB
     between two buffers, each repeated ``round(100_000 * scale)`` times
-    (at least once); ``scale`` must be positive and finite."""
-    if not 0 < scale < math.inf:
-        raise BenchError(f"scale must be positive and finite, got {scale}")
+    (at least once). ``scale`` must be in (0, 1]; 1 is the full-size run."""
+    if not 0 < scale <= 1:
+        raise BenchError(f"scale must be in (0, 1], got {scale}")
     iters = max(1, round(_COPY_ITERATIONS * scale))
     src_mv = memoryview(np.zeros(_COPY_BYTES + 16, dtype=np.uint8))
     dst_mv = memoryview(np.zeros(_COPY_BYTES + 16, dtype=np.uint8))

@@ -1,14 +1,14 @@
 """Arena placement, lifecycle, and accounting contracts."""
 
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from ruma import Arena, ArenaConfig, CapacityError, ConfigError, HandleError
-from ruma.arena import LARGE_CLASS, build_class_table
+from ruma import arena as arena_module, membench
+from ruma.arena import CACHE_LINE, LARGE_CLASS, PAGE_SIZE, build_class_table
 from ruma.bsi import BSI_PERIOD
 
 import oracles
@@ -33,9 +33,6 @@ def test_default_config_creates_empty_arena():
 @pytest.mark.parametrize(
     "overrides",
     [
-        {"cache_line": 4096, "page_size": 4096},  # line must be < page
-        {"cache_line": 48},
-        {"page_size": 1000},
         {"pointer_width": 16},
         {"arena_capacity": 0},
         {"arena_capacity": -5},
@@ -52,8 +49,6 @@ def test_bad_configs_rejected(overrides):
 def test_config_file_round_trip(tmp_path):
     text = (
         "pointer_width = 4\n"
-        "cache_line = 128\n"
-        "page_size = 8192\n"
         "randomize = off\n"
         "filter_bsi = true\n"
         "address_space_bits = 32\n"
@@ -65,8 +60,6 @@ def test_config_file_round_trip(tmp_path):
     path.write_text(text, encoding="utf-8")
     cfg = ArenaConfig.from_file(path)
     assert cfg.pointer_width == 4
-    assert cfg.cache_line == 128
-    assert cfg.page_size == 8192
     assert cfg.randomize is False
     assert cfg.filter_bsi is True
     assert cfg.address_space_bits == 32
@@ -82,6 +75,8 @@ def test_config_file_round_trip(tmp_path):
         "randomize = maybe\n",
         "page_size = big\n",
         "rng_seed = 1\nrng_seed = 2\n",
+        "cache_line = 64\n",
+        "page_size = 4096\n",
     ],
 )
 def test_config_file_errors(text):
@@ -89,55 +84,49 @@ def test_config_file_errors(text):
         ArenaConfig.from_text(text)
 
 
+def test_geometry_is_fixed_and_read_only():
+    cfg = ArenaConfig()
+    assert cfg.cache_line == CACHE_LINE == 64
+    assert cfg.page_size == PAGE_SIZE == 4096
+    with pytest.raises(TypeError):
+        ArenaConfig(cache_line=128)
+    assert len(dataclasses.fields(ArenaConfig)) == 6
+    # one definition: 4096 is past CPython's small-int cache, so a second
+    # ``PAGE_SIZE = 4096`` in membench would be another object
+    assert membench.CACHE_LINE is arena_module.CACHE_LINE
+    assert membench.PAGE_SIZE is arena_module.PAGE_SIZE
+
+
 # -- size class table ------------------------------------------------------
 
 
 def test_default_ladder_shape():
-    table = build_class_table(8, 64, 4096)
+    table = build_class_table(8)
     assert [c.max_size for c in table] == [
         16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048,
     ]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    ptr=st.sampled_from([4, 8]),
-    line=st.sampled_from([32, 64, 128, 256]),
-    page=st.sampled_from([1024, 4096, 8192, 16384]),
-)
-def test_table_invariants(ptr, line, page):
-    if line >= page:
-        return
-    table = build_class_table(ptr, line, page)
-    maxes = [c.max_size for c in table]
-    assert maxes == sorted(set(maxes)), "classes strictly increasing"
-    assert maxes[-1] == page // 2
-    for cls in table:
-        assert cls.stride >= cls.max_size + ptr
-        assert cls.slots_per_run == page // cls.stride >= 1
-        if cls.max_size + ptr <= line:
-            assert line % cls.stride == 0, "small class stride divides the line"
-        else:
-            assert page % cls.stride == 0, "medium class stride divides the page"
-        # no slot in a page-aligned run straddles the border that matters
-        border = line if cls.max_size + ptr <= line else page
-        for k in range(cls.slots_per_run):
-            lo = k * cls.stride
-            hi = lo + cls.max_size + ptr - 1
-            assert lo // border == hi // border
-
-
-def test_bigger_cache_line_rebuilds_strides():
-    # with a 128-byte line the 96-byte class fits a single line again
-    t64 = {c.max_size: c for c in build_class_table(8, 64, 4096)}
-    t128 = {c.max_size: c for c in build_class_table(8, 128, 4096)}
-    assert t64[96].stride == 128 and 128 % t64[96].stride != 64  # page-constrained
-    assert 128 % t128[96].stride == 0  # line-constrained at 128
-    for cls in t128.values():
-        if cls.max_size + 8 <= 128:
+def test_table_invariants():
+    line, page = CACHE_LINE, PAGE_SIZE
+    for ptr in (4, 8):
+        table = build_class_table(ptr)
+        maxes = [c.max_size for c in table]
+        assert maxes == sorted(set(maxes)), "classes strictly increasing"
+        assert maxes[-1] == page // 2
+        for cls in table:
+            assert cls.stride >= cls.max_size + ptr
+            assert cls.slots_per_run == page // cls.stride >= 1
+            if cls.max_size + ptr <= line:
+                assert line % cls.stride == 0, "small class stride divides the line"
+            else:
+                assert page % cls.stride == 0, "medium class stride divides the page"
+            # no slot in a page-aligned run straddles the border that matters
+            border = line if cls.max_size + ptr <= line else page
             for k in range(cls.slots_per_run):
                 lo = k * cls.stride
-                assert lo // 128 == (lo + cls.max_size + 8 - 1) // 128
+                hi = lo + cls.max_size + ptr - 1
+                assert lo // border == hi // border
 
 
 # -- placement rules -------------------------------------------------------
@@ -385,7 +374,7 @@ def test_random_ops_keep_invariants():
 def test_border_rule_violations_are_counted(monkeypatch, size, at, violations, straddles):
     # force the chunk across the one border its size is guaranteed to avoid
     arena = make_arena(randomize=False, rng_seed=35)
-    monkeypatch.setattr(arena, "_place", lambda *_: arena.base + at)
+    monkeypatch.setattr(arena, "_place", lambda *_: arena._base + at)
     arena.alloc(size)
     c = arena.counters
     assert (c.line_rule_violations, c.page_rule_violations) == violations
@@ -465,11 +454,11 @@ def _arena_with_bsi_slot(window=1 << 21, stride=1024, lo=448, hi=512):
             address_space_bits=32, filter_bsi=True,
             arena_capacity=1 << 25, rng_seed=seed,
         )
-        i = bisect_left(oracles.BSI_TABLE, arena.base)
+        i = bisect_left(oracles.BSI_TABLE, arena._base)
         if i == len(oracles.BSI_TABLE):
             continue
         addr = oracles.BSI_TABLE[i]
-        if addr < arena.base + window and lo <= (addr - arena.base) % stride < hi:
+        if addr < arena._base + window and lo <= (addr - arena._base) % stride < hi:
             return arena, addr
     raise AssertionError("no seed parked the arena over a usable BSI address")
 
@@ -478,8 +467,8 @@ def test_filter_quarantines_and_reuses_slots():
     # 512-byte requests use 1024-byte strides, so the slot holding the BSI
     # address must be withheld from them but may serve shorter requests
     arena, addr = _arena_with_bsi_slot()
-    bsi_slot = addr - (addr - arena.base) % 1024
-    slot_index = (addr - arena.base) // 1024
+    bsi_slot = addr - (addr - arena._base) % 1024
+    slot_index = (addr - arena._base) // 1024
     live = [arena.alloc(512) for _ in range(slot_index + 4)]
     assert arena.counters.bsi_quarantined >= 1
     for rec in live:

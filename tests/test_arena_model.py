@@ -179,7 +179,7 @@ class FilteredArenaModel(ArenaModel):
                 arena_capacity=1 << 16, rng_seed=seed,
             )
         )
-        assert oracles.table_contains(self.arena.base, 1 << 16), (
+        assert oracles.table_contains(self.arena._base, 1 << 16), (
             "the arena must cover a BSI address"
         )
 

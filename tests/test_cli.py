@@ -83,6 +83,22 @@ def test_replay_reads_config_file(tmp_path, schemas):
     assert len(payload["offset_histogram"]) == 4
 
 
+def test_replay_seed_falls_back_to_config_file(tmp_path, monkeypatch):
+    monkeypatch.delenv("RUMA_SEED", raising=False)
+    trace = tmp_path / "t.trace"
+    _, text = dispatch("gen-trace --events 200 --seed 5".split())
+    trace.write_text(text + "\n", encoding="utf-8")
+    cfg = tmp_path / "arena.cfg"
+    cfg.write_text("rng_seed = 99\n", encoding="utf-8")
+
+    def replay(*extra):
+        return dispatch(["replay", "--trace", str(trace), *extra])[1]
+
+    assert replay("--config", str(cfg)) == replay("--seed", "99")
+    assert replay("--config", str(cfg), "--seed", "7") == replay("--seed", "7")
+    assert replay("--seed", "7") != replay("--seed", "99")
+
+
 def test_bench_json_and_csv(tmp_path, schemas):
     csv_path = tmp_path / "bench.csv"
     code, out = dispatch(
@@ -158,6 +174,8 @@ def test_bad_domain_input_is_usage_error(tmp_path):
         "bench --iters 10 --scale nan",
         "bench --iters 10 --scale 0",
         "bench --iters 10 --scale -1",
+        "bench --iters 134217729",
+        "bench --iters 10 --scale 2",
     ],
 )
 def test_out_of_domain_values_exit_2_without_traceback(argv, monkeypatch, capsys):
