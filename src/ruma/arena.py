@@ -26,7 +26,6 @@ independent. Nothing here locks.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -64,9 +63,8 @@ def _next_pow2(n: int) -> int:
 
 
 def _spans_border(start: int, size: int, border: int) -> bool:
-    if size <= 1:
-        return False
-    return start // border != (start + size - 1) // border
+    # the last byte of a non-empty span lies past the next border
+    return start % border + size > border
 
 
 _BOOL_WORDS = {
@@ -153,6 +151,37 @@ class SizeClass:
     slots_per_run: int  # runs are one page
 
 
+_LARGEST_CLASS = PAGE_SIZE // 2
+
+
+def _ladder() -> list:
+    """Class maxima 16, 24, 32, 48, ... up to PAGE_SIZE/2."""
+    maxes = []
+    base = 16
+    while base <= _LARGEST_CLASS:
+        maxes.append(base)
+        if base + base // 2 <= _LARGEST_CLASS:
+            maxes.append(base + base // 2)
+        base *= 2
+    return maxes
+
+
+_CLASS_MAXES = _ladder()
+# _CLASS_OF[size] is the class serving a request of 0.._LARGEST_CLASS bytes:
+# the first class whose max_size covers it
+_CLASS_OF = [
+    i
+    for i, (below, top) in enumerate(zip([-1, *_CLASS_MAXES], _CLASS_MAXES))
+    for _ in range(below + 1, top + 1)
+]
+
+
+def _large_key(size: int, pointer_width: int) -> int:
+    """Bin of a large chunk: minus its page count. The pad is always
+    counted, so that randomize on and off keep identical geometry."""
+    return -((size + pointer_width - 1) // PAGE_SIZE + 1)
+
+
 def build_class_table(pointer_width: int):
     """Build the geometric class ladder 16, 24, 32, 48, ... up to PAGE_SIZE/2.
 
@@ -161,16 +190,8 @@ def build_class_table(pointer_width: int):
     the page for medium classes. Runs are page-aligned, which makes every
     slot border-free for its class by construction.
     """
-    maxes = []
-    base = 16
-    half_page = PAGE_SIZE // 2
-    while base <= half_page:
-        maxes.append(base)
-        if base + base // 2 <= half_page:
-            maxes.append(base + base // 2)
-        base *= 2
     table = []
-    for m in maxes:
+    for m in _CLASS_MAXES:
         stride = _next_pow2(m + pointer_width)
         table.append(SizeClass(m, stride, PAGE_SIZE // stride))
     return table
@@ -244,7 +265,8 @@ class Arena:
         config.validate()
         self._cfg = config
         self._table = build_class_table(config.pointer_width)
-        self._class_maxes = [c.max_size for c in self._table]
+        self._pad = config.pointer_width if config.randomize else 0
+        self._class_reserve = [c.max_size + self._pad for c in self._table]
         self._rng = np.random.Generator(np.random.Philox(config.rng_seed))
         # The base is drawn before any offset so that randomize on/off runs
         # of the same seed share the exact same slot layout.
@@ -254,13 +276,15 @@ class Arena:
         self._run_bump = self._base  # class runs grow upward
         self._large_bump = self._end  # large carving grows downward
         # Free and withheld (BSI-quarantined) slots per bin. A bin key is the
-        # class index for class slots and minus the page count for large spans.
+        # class index for class slots and _large_key for large spans.
         self._free = defaultdict(list)
         self._quarantine = defaultdict(list)
         self._filter = config.filter_bsi and config.address_space_bits == 32
         self._live = {}
         self._next_id = 1
-        self._offsets = iter(())
+        # offsets are drawn in batches, when the last one is used up
+        self._offsets = []
+        self._offsets_used = 0
 
         self.counters = ArenaCounters()
         self._reserved_bytes = 0  # running, for the peak
@@ -279,16 +303,6 @@ class Arena:
         pages = max(top // PAGE_SIZE, 1)
         return PAGE_SIZE * (1 + int(self._rng.integers(0, pages)))
 
-    def _next_offset(self) -> int:
-        try:
-            return next(self._offsets)
-        except StopIteration:
-            batch = self._rng.integers(
-                0, self._cfg.pointer_width, size=_OFFSET_BATCH, dtype=np.int64
-            )
-            self._offsets = iter(batch.tolist())
-            return next(self._offsets)
-
     # -- class/placement machinery --------------------------------------
 
     @property
@@ -305,8 +319,7 @@ class Arena:
 
     def class_index_for(self, size: int) -> int:
         """Class pool serving ``size``, or LARGE_CLASS for the carve path."""
-        i = bisect_left(self._class_maxes, size)
-        return i if i < len(self._table) else LARGE_CLASS
+        return _CLASS_OF[max(size, 0)] if size <= _LARGEST_CLASS else LARGE_CLASS
 
     def _filter_span(self, start: int, size: int) -> bool:
         """True when the span must be withheld from the caller."""
@@ -314,14 +327,6 @@ class Arena:
         self.counters.bsi_span_checks += 1
         self.counters.bsi_candidates += checked
         return hit
-
-    def _key(self, ci: int, size: int) -> int:
-        """Bin of a chunk: its class index, or minus its page count when it
-        is large. The pad is always counted, so that randomize on and off
-        keep identical geometry."""
-        if ci != LARGE_CLASS:
-            return ci
-        return -max(1, -(-(size + self._cfg.pointer_width) // PAGE_SIZE))
 
     def _carve(self, key: int) -> int:
         """Fresh slot for bin ``key``: a new page run for a class, whose
@@ -372,6 +377,7 @@ class Arena:
         if not isinstance(size, int) or isinstance(size, bool) or size < 0:
             raise ValueError(f"allocation size must be a non-negative int, got {size!r}")
         cfg = self._cfg
+        ci = natural = _CLASS_OF[size] if size <= _LARGEST_CLASS else LARGE_CLASS
         offset = 0
         if align is not None:
             if not _is_pow2(align):
@@ -380,41 +386,55 @@ class Arena:
                 raise ValueError(
                     f"alignment {align} beyond the page size is not supported"
                 )
+            if ci != LARGE_CLASS:
+                # Strides and align are powers of two and the last stride is
+                # the page, so the first stride >= align ends this inside the
+                # table.
+                while self._table[ci].stride % align:
+                    ci += 1
         elif cfg.randomize:
-            offset = self._next_offset()
+            used = self._offsets_used
+            if used == len(self._offsets):
+                self._offsets = self._rng.integers(
+                    0, cfg.pointer_width, size=_OFFSET_BATCH, dtype=np.int64
+                ).tolist()
+                used = 0
+            offset = self._offsets[used]
+            self._offsets_used = used + 1
 
-        pad = cfg.pointer_width if cfg.randomize else 0
-        ci = natural = self.class_index_for(size)
-        if ci != LARGE_CLASS and align is not None:
-            # Strides and align are powers of two and the last stride is the
-            # page, so the first stride >= align ends this inside the table.
-            while self._table[ci].stride % align:
-                ci += 1
-
-        start = self._place(self._key(ci, size), offset, size) + offset
-        if align is not None:
-            self.counters.aligned_allocs += 1
-            if ci != natural:
-                self.counters.promotions += 1
         if ci == LARGE_CLASS:
-            reserved = size + pad
+            key = _large_key(size, cfg.pointer_width)
+            reserved = size + self._pad
         else:
-            reserved = self._table[ci].max_size + pad
+            key = ci
+            reserved = self._class_reserve[ci]
+        free = self._free[key]
+        if free and not self._filter:  # _place's first choice, inline
+            start = free.pop() + offset
+        else:
+            start = self._place(key, offset, size) + offset
+        counters = self.counters
+        if align is not None:
+            counters.aligned_allocs += 1
+            if ci != natural:
+                counters.promotions += 1
 
         rec = Allocation(self._next_id, start, size, reserved, offset, ci)
         self._next_id += 1
         self._live[rec.id] = rec
 
-        self.counters.total_allocs += 1
+        counters.total_allocs += 1
         self._reserved_bytes += reserved
-        self._peak_reserved = max(self._peak_reserved, self._reserved_bytes)
+        if self._reserved_bytes > self._peak_reserved:
+            self._peak_reserved = self._reserved_bytes
         self._offset_hist[offset] += 1
+        # _spans_border, inline on the hot path
         guarded = size + cfg.pointer_width
         if guarded <= CACHE_LINE:
-            if _spans_border(start, size, CACHE_LINE):
-                self.counters.line_rule_violations += 1
-        elif guarded <= PAGE_SIZE and _spans_border(start, size, PAGE_SIZE):
-            self.counters.page_rule_violations += 1
+            if start % CACHE_LINE + size > CACHE_LINE:
+                counters.line_rule_violations += 1
+        elif guarded <= PAGE_SIZE and start % PAGE_SIZE + size > PAGE_SIZE:
+            counters.page_rule_violations += 1
         return rec
 
     def free(self, alloc_id: int) -> None:
@@ -423,7 +443,9 @@ class Arena:
             raise HandleError(f"unknown or already freed allocation id {alloc_id}")
         self.counters.total_frees += 1
         self._reserved_bytes -= rec.reserved
-        key = self._key(rec.size_class_index, rec.requested)
+        key = rec.size_class_index
+        if key == LARGE_CLASS:
+            key = _large_key(rec.requested, self._cfg.pointer_width)
         self._free[key].append(rec.start - rec.offset)
 
     def realloc(self, alloc_id: int, new_size: int) -> Allocation:

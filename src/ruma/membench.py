@@ -3,9 +3,10 @@
 Times vectorized memory access at offsets realizing four classes: A
 (aligned), U (unaligned inside one cache line), BC (straddling a cache
 line border), BP (straddling a page border). Each timed sweep touches one
-element per page at the class offset, so every single access in a sweep
-has the stated alignment. The geometry is fixed: the arena's 64-byte
-cache line and 4 KiB page, 2048 pages per sweep, and a 1 MiB bulk copy.
+element per page of a page-aligned buffer at the class offset, so every
+single access in a sweep has the stated alignment. The geometry is fixed:
+the arena's 64-byte cache line and 4 KiB page, 2048 pages per sweep, and a
+1 MiB bulk copy.
 Absolute penalties are hardware dependent; expected orderings are flagged
 pass/warn in the report, never enforced.
 
@@ -16,9 +17,9 @@ notes.
 Limitation: a view whose offset is not a multiple of its element width is
 not aligned for numpy (``flags.aligned`` is False), so numpy runs its
 slower unaligned loop over it. For the store and load-store ops that loop
-costs U, BC and BP alike and dominates their time, so their ratios to A
-measure numpy's unaligned path, not the CPU's penalty (see the README for
-timings). Loads are barely affected.
+costs U, BC and BP alike, so their ratios to A add numpy's unaligned path
+to the CPU's penalty (see the README for timings). Loads are barely
+affected.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ class BenchSpec:
 
 
 def validate_offset(access_class: AccessClass, offset: int, width: int) -> None:
-    """Hard check that ``offset`` realizes its class; raises otherwise."""
+    """Hard check that ``offset``, from a page start or from address 0,
+    realizes its class; raises otherwise."""
     line_x = _spans_border(offset, width, CACHE_LINE)
     page_x = _spans_border(offset, width, PAGE_SIZE)
     ok = {
@@ -159,6 +161,19 @@ class BenchReport:
         return rows
 
 
+def _page_aligned(nbytes: int) -> np.ndarray:
+    """A zeroed ``nbytes`` buffer whose first byte starts a page, so that
+    offsets into it are also addresses modulo the page."""
+    raw = np.zeros(nbytes + PAGE_SIZE, dtype=np.uint8)
+    skip = -raw.ctypes.data % PAGE_SIZE
+    return raw[skip : skip + nbytes]
+
+
+def _check_scale(scale: float) -> None:
+    if not 0 < scale <= 1:
+        raise BenchError(f"scale must be in (0, 1], got {scale}")
+
+
 def _op_function(op: str):
     if op == "load":
         return lambda view: view.sum()
@@ -201,7 +216,7 @@ def run_bench(spec: BenchSpec) -> BenchReport:
     """
     offsets = plan_offsets(spec)
     dtype = _SUPPORTED_WIDTHS[spec.width]
-    buf = np.zeros((_TARGETS + 1) * PAGE_SIZE, dtype=np.uint8)
+    buf = _page_aligned((_TARGETS + 1) * PAGE_SIZE)
     sweeps = -(-spec.iterations // _TARGETS)
     op_fn = _op_function(spec.op)
     seconds = {}
@@ -209,6 +224,7 @@ def run_bench(spec: BenchSpec) -> BenchReport:
         view = np.ndarray(
             shape=(_TARGETS,), dtype=dtype, buffer=buf, offset=off, strides=(PAGE_SIZE,)
         )
+        validate_offset(cls, view.ctypes.data, spec.width)
         seconds[cls] = _time_cell(op_fn, view, sweeps)
     return BenchReport(
         cells=_cells(seconds, spec.width, spec.op),
@@ -246,11 +262,10 @@ def run_copy_bench(scale: float = 1.0) -> list:
     """Bulk-copy cells: an aligned and a byte-misaligned copy of 1 MiB
     between two buffers, each repeated ``round(100_000 * scale)`` times
     (at least once). ``scale`` must be in (0, 1]; 1 is the full-size run."""
-    if not 0 < scale <= 1:
-        raise BenchError(f"scale must be in (0, 1], got {scale}")
+    _check_scale(scale)
     iters = max(1, round(_COPY_ITERATIONS * scale))
-    src_mv = memoryview(np.zeros(_COPY_BYTES + 16, dtype=np.uint8))
-    dst_mv = memoryview(np.zeros(_COPY_BYTES + 16, dtype=np.uint8))
+    src_mv = memoryview(_page_aligned(_COPY_BYTES + 16))
+    dst_mv = memoryview(_page_aligned(_COPY_BYTES + 16))
 
     def copy(off: int) -> None:
         dst_mv[off : off + _COPY_BYTES] = src_mv[off : off + _COPY_BYTES]
@@ -266,6 +281,7 @@ def full_report(
     width: int = 8, iterations: int = 1 << 20, scale: float = 0.01
 ) -> BenchReport:
     """All op kinds at one width, plus the bulk-copy pair."""
+    _check_scale(scale)  # before anything is timed
     parts = [
         run_bench(BenchSpec(width=width, iterations=iterations, op=op))
         for op in OP_KINDS

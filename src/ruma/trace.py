@@ -39,7 +39,7 @@ _ALLOC_PROB = 0.55
 _REALLOC_PROB = 0.10
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     kind: str  # "alloc" | "free" | "realloc"
     id: str
@@ -57,6 +57,56 @@ def _column(raw_line: str, tokens, index: int) -> int:
     return pos + 1
 
 
+def _parse_line(raw: str, lineno: int, live: set):
+    """The event on one line, or None for a blank or comment line; every
+    rule of :func:`parse_trace` is checked here."""
+    tokens = raw.split("#", 1)[0].split()
+    if not tokens:
+        return None
+    token = tokens[0]
+    kind = _KIND_BY_TOKEN.get(token)
+    if kind is None:
+        raise TraceError(
+            f"unknown event {token!r}", line=lineno, column=_column(raw, tokens, 0)
+        )
+    expected = 2 if kind == "free" else 3
+    if len(tokens) != expected:
+        raise TraceError(
+            f"{kind} expects {expected} tokens, got {len(tokens)}", line=lineno
+        )
+    ident = tokens[1]
+    size = None
+    if kind != "free":
+        try:
+            size = int(tokens[2])
+        except ValueError:
+            raise TraceError(
+                f"bad size {tokens[2]!r}",
+                line=lineno,
+                column=_column(raw, tokens, 2),
+            ) from None
+        if size < 0:
+            raise TraceError(f"negative size {size}", line=lineno)
+    if kind == "alloc":
+        if ident in live:
+            raise TraceError(
+                f"id {ident!r} is already live",
+                line=lineno,
+                column=_column(raw, tokens, 1),
+            )
+        live.add(ident)
+    else:
+        if ident not in live:
+            raise TraceError(
+                f"{kind} of unknown id {ident!r}",
+                line=lineno,
+                column=_column(raw, tokens, 1),
+            )
+        if kind == "free":
+            live.discard(ident)
+    return TraceEvent(kind, ident, size, lineno)
+
+
 def parse_trace(source) -> list:
     """Parse a trace from a string or an iterable of lines.
 
@@ -66,53 +116,28 @@ def parse_trace(source) -> list:
     lines = source.splitlines() if isinstance(source, str) else source
     events = []
     live = set()
+    append, make = events.append, TraceEvent
     for lineno, raw in enumerate(lines, 1):
-        body = raw.split("#", 1)[0]
-        tokens = body.split()
-        if not tokens:
-            continue
-        token = tokens[0]
-        kind = _KIND_BY_TOKEN.get(token)
-        if kind is None:
-            raise TraceError(
-                f"unknown event {token!r}", line=lineno, column=_column(raw, tokens, 0)
-            )
-        expected = 2 if kind == "free" else 3
-        if len(tokens) != expected:
-            raise TraceError(
-                f"{kind} expects {expected} tokens, got {len(tokens)}", line=lineno
-            )
-        ident = tokens[1]
-        size = None
-        if kind != "free":
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        # Well-formed allocs and frees, the bulk of any trace, are taken
+        # here; every other line goes through the full validation.
+        n = len(tokens)
+        if n == 3 and tokens[0] == "a" and tokens[1] not in live:
             try:
                 size = int(tokens[2])
             except ValueError:
-                raise TraceError(
-                    f"bad size {tokens[2]!r}",
-                    line=lineno,
-                    column=_column(raw, tokens, 2),
-                ) from None
-            if size < 0:
-                raise TraceError(f"negative size {size}", line=lineno)
-        if kind == "alloc":
-            if ident in live:
-                raise TraceError(
-                    f"id {ident!r} is already live",
-                    line=lineno,
-                    column=_column(raw, tokens, 1),
-                )
-            live.add(ident)
-        else:
-            if ident not in live:
-                raise TraceError(
-                    f"{kind} of unknown id {ident!r}",
-                    line=lineno,
-                    column=_column(raw, tokens, 1),
-                )
-            if kind == "free":
-                live.discard(ident)
-        events.append(TraceEvent(kind, ident, size, line=lineno))
+                size = -1
+            if size >= 0:
+                live.add(tokens[1])
+                append(make("alloc", tokens[1], size, lineno))
+                continue
+        elif n == 2 and tokens[0] == "f" and tokens[1] in live:
+            live.remove(tokens[1])
+            append(make("free", tokens[1], None, lineno))
+            continue
+        event = _parse_line(raw, lineno, live)
+        if event is not None:
+            append(event)
     return events
 
 
@@ -133,31 +158,36 @@ def replay_into(arena: Arena, events) -> ReplayStats:
     extended with peak reserved bytes and the power-of-two histogram of
     requested sizes (alloc and realloc events both count)."""
     handles = {}
-    histogram = Counter()
-    for index, ev in enumerate(events):
-        try:
-            if ev.kind == "alloc":
+    sizes = []
+    alloc, free, realloc = arena.alloc, arena.free, arena.realloc
+    try:
+        for index, ev in enumerate(events):
+            kind = ev.kind
+            if kind == "alloc":
                 if ev.id in handles:
                     raise TraceError(f"id {ev.id!r} is already live", line=ev.line)
-                handles[ev.id] = arena.alloc(ev.size).id
-                histogram[_next_pow2(ev.size)] += 1
-            elif ev.kind == "free":
+                handles[ev.id] = alloc(ev.size).id
+                sizes.append(ev.size)
+            elif kind == "free":
                 handle = handles.pop(ev.id, None)
                 if handle is None:
                     raise TraceError(f"free of unknown id {ev.id!r}", line=ev.line)
-                arena.free(handle)
-            elif ev.kind == "realloc":
+                free(handle)
+            elif kind == "realloc":
                 handle = handles.get(ev.id)
                 if handle is None:
                     raise TraceError(f"realloc of unknown id {ev.id!r}", line=ev.line)
-                handles[ev.id] = arena.realloc(handle, ev.size).id
-                histogram[_next_pow2(ev.size)] += 1
+                handles[ev.id] = realloc(handle, ev.size).id
+                sizes.append(ev.size)
             else:
                 raise TraceError(f"unknown event kind {ev.kind!r}", line=ev.line)
-        except CapacityError as exc:
-            raise CapacityError(
-                f"replay aborted at event {index + 1} (line {ev.line}): {exc}"
-            ) from exc
+    except CapacityError as exc:
+        raise CapacityError(
+            f"replay aborted at event {index + 1} (line {ev.line}): {exc}"
+        ) from exc
+    histogram = Counter()
+    for size, count in Counter(sizes).items():
+        histogram[_next_pow2(size)] += count
     stats = arena.stats()
     stats.peak_reserved = arena.peak_reserved
     stats.histogram = [

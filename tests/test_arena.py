@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from bisect import bisect_left
 
 import pytest
 from scipy.stats import chisquare
@@ -105,6 +106,16 @@ def test_default_ladder_shape():
     assert [c.max_size for c in table] == [
         16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048,
     ]
+
+
+@pytest.mark.parametrize("ptr", [4, 8])
+def test_class_index_for_matches_a_bisect_oracle(ptr):
+    arena = make_arena(pointer_width=ptr)
+    maxes = [c.max_size for c in arena.size_class_table]
+    for size in range(-2, PAGE_SIZE + 2):
+        i = bisect_left(maxes, size)  # the first class whose max covers size
+        expected = i if i < len(maxes) else LARGE_CLASS
+        assert arena.class_index_for(size) == expected, size
 
 
 def test_table_invariants():
@@ -366,6 +377,15 @@ def test_random_ops_keep_invariants():
             assert not oracles.spans_border(rec.start, rec.requested, cfg.page_size)
 
 
+def test_spans_border_matches_the_oracle():
+    for border in (CACHE_LINE, PAGE_SIZE):
+        for start in range(border - 70, border + 70):
+            for size in range(140):
+                assert arena_module._spans_border(
+                    start, size, border
+                ) == oracles.spans_border(start, size, border), (start, size)
+
+
 @pytest.mark.parametrize(
     "size, at, violations, straddles",
     [(24, 56, (1, 0), (1, 0)), (200, 4000, (0, 1), (1, 1))],
@@ -447,8 +467,6 @@ def test_filtered_arena_never_spans_bsi():
 def _arena_with_bsi_slot(window=1 << 21, stride=1024, lo=448, hi=512):
     """Find a seed whose arena base parks a repeated-byte address early in
     the run area, at a slot-relative position inside [lo, hi)."""
-    from bisect import bisect_left
-
     for seed in range(5000):
         arena = make_arena(
             address_space_bits=32, filter_bsi=True,

@@ -1,5 +1,6 @@
 """CLI behavior: output shapes, schema validation, exit codes, help."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -185,6 +186,30 @@ def test_out_of_domain_values_exit_2_without_traceback(argv, monkeypatch, capsys
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert err.startswith("ruma: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("filter-check --start 12121213 --len 4", 0),
+        ("bench --iters 0", 2),  # a domain error
+        ("replay --no-such-flag", 2),  # argparse's own exit
+    ],
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    collecting, argv, code, monkeypatch, capsys
+):
+    monkeypatch.setattr("sys.argv", ["ruma", *argv.split()])
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 def test_overflowing_size_draw_is_max_size(monkeypatch, capsys):

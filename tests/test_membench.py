@@ -2,6 +2,7 @@
 
 import pytest
 
+from ruma import membench
 from ruma.membench import (
     AccessClass,
     BenchError,
@@ -31,6 +32,27 @@ def test_planned_offsets_realize_their_classes(width):
     line, page = 64, 4096
     a, u = offsets[AccessClass.A], offsets[AccessClass.U]
     bc, bp = offsets[AccessClass.BC], offsets[AccessClass.BP]
+    assert a % width == 0 and not oracles.spans_border(a, width, line)
+    assert u % width != 0 and not oracles.spans_border(u, width, line)
+    assert oracles.spans_border(bc, width, line)
+    assert not oracles.spans_border(bc, width, page)
+    assert oracles.spans_border(bp, width, page)
+
+
+@pytest.mark.parametrize("width", [2, 4, 8])
+def test_timed_views_realize_their_classes_at_absolute_addresses(width, monkeypatch):
+    # The CPU sees addresses, not offsets: a buffer that does not start a
+    # page moves every border out from under the BC and BP views.
+    addresses = []
+
+    def record(op_fn, target, repeats):
+        addresses.append(target.ctypes.data)
+        return 1.0
+
+    monkeypatch.setattr(membench, "_time_cell", record)
+    run_bench(BenchSpec(width=width, **TINY))
+    a, u, bc, bp = addresses
+    line, page = 64, 4096
     assert a % width == 0 and not oracles.spans_border(a, width, line)
     assert u % width != 0 and not oracles.spans_border(u, width, line)
     assert oracles.spans_border(bc, width, line)
@@ -97,6 +119,15 @@ def test_full_report_merges_ops_and_copy():
             assert (op, cls) in ops
     assert ("copy", "A") in ops and ("copy", "U") in ops
     assert len(report.orderings) == 9
+
+
+def test_full_report_checks_scale_before_timing(monkeypatch):
+    def no_timing(spec):
+        raise AssertionError("a cell was timed before the scale was checked")
+
+    monkeypatch.setattr(membench, "run_bench", no_timing)
+    with pytest.raises(BenchError):
+        full_report(width=8, iterations=1 << 27, scale=2)
 
 
 def test_csv_rows_shape():

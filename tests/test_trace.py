@@ -80,6 +80,25 @@ def test_parse_error_columns_point_at_the_token(text, line, column):
         assert (err.value.line, err.value.column) == (line, column)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# header\n\n  a x7 16   # inline\nr x7 64\n#a 9 9\nf x7#done\n\n",
+        "a 1 8\r\n\r\na 2 16 # two\r\nr 2 32\r\nf 1\r\nf 2",
+        serialize_trace(generate_trace(3000, seed=21)),
+    ],
+    ids=["comments", "crlf", "generated"],
+)
+def test_parse_sources_agree(text):
+    # str, file handle and kept line ends: same events on the same lines
+    expected = parse_trace(text)
+    assert expected
+    for source in (io.StringIO(text), text.splitlines(keepends=True)):
+        events = parse_trace(source)
+        assert events == expected
+        assert [e.line for e in events] == [e.line for e in expected]
+
+
 def test_id_reusable_after_free():
     events = parse_trace("a 1 8\nf 1\na 1 16\n")
     assert events[2].size == 16
