@@ -7,6 +7,11 @@ address filter (:mod:`ruma.bsi`), a pointer-spray attack probability model
 (:mod:`ruma.spray`), and measurement harnesses for alignment penalties and
 allocation traces (:mod:`ruma.membench`, :mod:`ruma.trace`). The ``ruma``
 executable exposes all of it for scripted runs.
+
+numpy is imported inside the functions that draw numbers or build buffers
+(``Arena()``, ``generate_trace``, ``monte_carlo``, the ``membench`` timers),
+not at module top, so importing the package and commands such as
+``ruma filter-check`` do not pay for loading it.
 """
 
 __version__ = "0.1.0"

@@ -26,11 +26,10 @@ independent. Nothing here locks.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .bsi import BSI_PERIOD, range_contains_bsi_counted
 from .errors import CapacityError, ConfigError, HandleError
@@ -267,7 +266,13 @@ class Arena:
         self._table = build_class_table(config.pointer_width)
         self._pad = config.pointer_width if config.randomize else 0
         self._class_reserve = [c.max_size + self._pad for c in self._table]
+        import numpy as np  # loaded on first use, see the package docstring
+
         self._rng = np.random.Generator(np.random.Philox(config.rng_seed))
+        self._draw_offsets = functools.partial(
+            self._rng.integers, 0, config.pointer_width, size=_OFFSET_BATCH,
+            dtype=np.int64,
+        )
         # The base is drawn before any offset so that randomize on/off runs
         # of the same seed share the exact same slot layout.
         self._base = self._pick_base()
@@ -395,9 +400,7 @@ class Arena:
         elif cfg.randomize:
             used = self._offsets_used
             if used == len(self._offsets):
-                self._offsets = self._rng.integers(
-                    0, cfg.pointer_width, size=_OFFSET_BATCH, dtype=np.int64
-                ).tolist()
+                self._offsets = self._draw_offsets().tolist()
                 used = 0
             offset = self._offsets[used]
             self._offsets_used = used + 1

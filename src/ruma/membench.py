@@ -28,8 +28,6 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .arena import CACHE_LINE, PAGE_SIZE, _spans_border
 from .errors import BenchError
 
@@ -50,7 +48,7 @@ __all__ = [
 OP_KINDS = ("load", "store", "load-store")
 CSV_HEADER = "class,width,op,seconds,ratio"
 
-_SUPPORTED_WIDTHS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
+_SUPPORTED_WIDTHS = {2: "uint16", 4: "uint32", 8: "uint64"}  # numpy dtype names
 _MIN_TIMED = 50  # timed cell must exceed this many clock ticks
 _TARGETS = 2048  # pages a sweep touches, one element each
 _MAX_ITERATIONS = 1 << 27  # the full-size run, and the default
@@ -161,9 +159,11 @@ class BenchReport:
         return rows
 
 
-def _page_aligned(nbytes: int) -> np.ndarray:
-    """A zeroed ``nbytes`` buffer whose first byte starts a page, so that
-    offsets into it are also addresses modulo the page."""
+def _page_aligned(nbytes: int):
+    """A zeroed ``nbytes`` numpy buffer whose first byte starts a page, so
+    that offsets into it are also addresses modulo the page."""
+    import numpy as np
+
     raw = np.zeros(nbytes + PAGE_SIZE, dtype=np.uint8)
     skip = -raw.ctypes.data % PAGE_SIZE
     return raw[skip : skip + nbytes]
@@ -179,6 +179,8 @@ def _op_function(op: str):
         return lambda view: view.sum()
     if op == "store":
         return lambda view: view.__setitem__(slice(None), 1)
+    import numpy as np
+
     return lambda view: np.add(view, 1, out=view)
 
 
@@ -214,6 +216,8 @@ def run_bench(spec: BenchSpec) -> BenchReport:
     class offset, and sweeps repeat until at least ``spec.iterations``
     element accesses ran per class.
     """
+    import numpy as np
+
     offsets = plan_offsets(spec)
     dtype = _SUPPORTED_WIDTHS[spec.width]
     buf = _page_aligned((_TARGETS + 1) * PAGE_SIZE)
@@ -259,20 +263,23 @@ def _ordering_checks(spec: BenchSpec, seconds) -> list:
 
 
 def run_copy_bench(scale: float = 1.0) -> list:
-    """Bulk-copy cells: an aligned and a byte-misaligned copy of 1 MiB
-    between two buffers, each repeated ``round(100_000 * scale)`` times
-    (at least once). ``scale`` must be in (0, 1]; 1 is the full-size run."""
+    """Bulk-copy cells: 1 MiB copied from a page-aligned source into a
+    destination that starts a page (A) or one byte past it (U), so in the
+    U cell the two sides are misaligned relative to each other. Each cell
+    repeats ``round(100_000 * scale)`` times (at least once). ``scale``
+    must be in (0, 1]; 1 is the full-size run."""
     _check_scale(scale)
     iters = max(1, round(_COPY_ITERATIONS * scale))
-    src_mv = memoryview(_page_aligned(_COPY_BYTES + 16))
-    dst_mv = memoryview(_page_aligned(_COPY_BYTES + 16))
+    src = memoryview(_page_aligned(_COPY_BYTES))
+    dst = memoryview(_page_aligned(_COPY_BYTES + 1))
 
-    def copy(off: int) -> None:
-        dst_mv[off : off + _COPY_BYTES] = src_mv[off : off + _COPY_BYTES]
+    def copy(views) -> None:
+        to, frm = views
+        to[:] = frm
 
     seconds = {
-        AccessClass.A: _time_cell(copy, 0, iters),
-        AccessClass.U: _time_cell(copy, 1, iters),
+        AccessClass.A: _time_cell(copy, (dst[:_COPY_BYTES], src), iters),
+        AccessClass.U: _time_cell(copy, (dst[1:], src), iters),
     }
     return _cells(seconds, _COPY_BYTES, "copy")
 

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 __all__ = [
     "AttackScenario",
     "MonteCarloResult",
@@ -134,6 +132,8 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
     rate with a 99% Wilson interval."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    import numpy as np
+
     matches = np.array(_match_table(scenario), dtype=bool)
     states = len(matches)
     k = scenario.chain_length

@@ -18,8 +18,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .arena import Arena, ArenaConfig, ReplayStats, _next_pow2
 from .errors import CapacityError, TraceError
 
@@ -226,14 +224,19 @@ def generate_trace(
         raise ValueError(f"median must be positive and finite, got {median}")
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(seed))
+    # np.log, not math.log: the two may differ in the last bit, which would
+    # change every seeded trace
+    mean = np.log(median)
     out = []
     live = []
     next_id = 1
 
     def draw_size() -> int:
         # clamped before rounding, so a draw that overflows to inf is max_size
-        size = float(rng.lognormal(np.log(median), sigma))
+        size = float(rng.lognormal(mean, sigma))
         return int(round(max(min_size, min(max_size, size))))
 
     for _ in range(events):

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from conftest import child_env, run_cli, run_python
+from ruma import cli
 from ruma.cli import build_parser, dispatch, main
 
 DATA = Path(__file__).parent / "data"
@@ -138,6 +139,37 @@ def test_seed_env_fallback(tmp_path):
     assert env_run.stdout != other_run.stdout
 
 
+def test_handlers_call_the_layers_through_module_names(tmp_path, monkeypatch):
+    # perfbench times each layer by wrapping these names on ruma.cli; a
+    # handler that reached the functions another way would empty its spans.
+    calls = []
+
+    def recording(name):
+        inner = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    trace = str(tmp_path / "t.trace")
+    expected = {
+        ("gen-trace", "--events", "100", "--out", trace):
+            ["generate_trace", "serialize_trace"],
+        ("replay", "--trace", trace): ["parse_trace", "replay"],
+        ("spray-sim", "--pattern", "ff", "--trials", "10"):
+            ["monte_carlo", "chained_success"],
+    }
+    for names in expected.values():
+        for name in names:
+            monkeypatch.setattr(cli, name, recording(name))
+    for argv, names in expected.items():
+        calls.clear()
+        assert dispatch(list(argv))[0] == 0
+        assert calls == names
+
+
 # -- exit codes ----------------------------------------------------------------
 
 
@@ -247,24 +279,72 @@ def test_filter_check_positive_exit_via_process():
     assert proc.returncode == 0
 
 
-_SCIPY_PROBE = """
+def _run_cli_listing(package, *argv, cwd=None):
+    """Run ``ruma *argv`` in a fresh child process. Its last stderr line
+    lists the modules of ``package`` loaded by the time the CLI returned."""
+    probe = f"""
 import runpy, sys
 try:
     runpy.run_module("ruma.cli", run_name="__main__")
 finally:
-    print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+    print(sorted(m for m in sys.modules if m.partition(".")[0] == {package!r}),
           file=sys.stderr)
 """
+    proc = run_python("-c", probe, *argv, cwd=cwd)
+    return proc, proc.stderr.splitlines()[-1]
 
 
 def test_spray_sim_runs_without_scipy():
-    proc = run_python(
-        "-c", _SCIPY_PROBE, "spray-sim", "--pattern", "deadbeefcafebabe",
+    proc, loaded = _run_cli_listing(
+        "scipy", "spray-sim", "--pattern", "deadbeefcafebabe",
         "--trials", "1000", "--seed", "1",
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["trials"] == 1000
-    assert proc.stderr.splitlines()[-1] == "[]"
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (["filter-check", "--start", "12121213", "--len", "4"], 0),
+        (["--version"], 0),
+        (["--help"], 0),
+        (["replay"], 2),  # argparse usage error: --trace is required
+    ],
+    ids=["filter-check", "version", "help", "usage-error"],
+)
+def test_light_commands_load_no_numpy(argv, code):
+    proc, loaded = _run_cli_listing("numpy", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert loaded == "[]"
+
+
+def test_importing_the_api_loads_no_numpy():
+    proc = run_python(
+        "-c",
+        "import sys, ruma, ruma.cli\n"
+        "for name in ruma.__all__: getattr(ruma, name)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_numpy_commands_run_in_a_fresh_process(tmp_path):
+    # numpy is imported where numbers are drawn or buffers built; each of
+    # these commands must reach such an import from a cold start.
+    runs = [
+        ["gen-trace", "--events", "500", "--seed", "2", "--out", "t.trace"],
+        ["replay", "--trace", "t.trace", "--seed", "2"],
+        ["spray-sim", "--pattern", "deadbeefcafebabe", "--trials", "100"],
+        ["bench", "--iters", "1", "--scale", "0.0001"],
+    ]
+    for argv in runs:
+        proc, loaded = _run_cli_listing("numpy", *argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)
+        assert loaded != "[]"
 
 
 # -- help text -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Access-class offset planning and the timing report shape."""
 
+import numpy as np
 import pytest
 
 from ruma import membench
@@ -109,6 +110,26 @@ def test_copy_bench_pair():
     assert [c.access_class for c in cells] == ["A", "U"]
     assert all(c.op == "copy" for c in cells)
     assert cells[0].ratio == 1.0
+
+
+def test_timed_copy_misaligns_destination_against_source(monkeypatch):
+    # Shifting both sides by the same byte leaves them aligned with each
+    # other after a one-byte head; only a one-sided shift misaligns the copy.
+    targets = []
+
+    def record(op_fn, target, repeats):
+        targets.append(target)
+        return 1.0
+
+    monkeypatch.setattr(membench, "_time_cell", record)
+    run_copy_bench(scale=0.001)
+    (a_dst, a_src), (u_dst, u_src) = [
+        [np.frombuffer(view, dtype=np.uint8).ctypes.data for view in pair]
+        for pair in targets
+    ]
+    assert all(view.nbytes == 1 << 20 for pair in targets for view in pair)
+    assert a_dst % 4096 == 0 and a_src % 4096 == 0
+    assert u_src % 4096 == 0 and u_dst % 4096 == 1
 
 
 def test_full_report_merges_ops_and_copy():
