@@ -322,10 +322,6 @@ class Arena:
     def peak_reserved(self) -> int:
         return self._peak_reserved
 
-    def class_index_for(self, size: int) -> int:
-        """Class pool serving ``size``, or LARGE_CLASS for the carve path."""
-        return _CLASS_OF[max(size, 0)] if size <= _LARGEST_CLASS else LARGE_CLASS
-
     def _filter_span(self, start: int, size: int) -> bool:
         """True when the span must be withheld from the caller."""
         hit, checked = range_contains_bsi_counted(start, size)

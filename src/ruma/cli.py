@@ -156,8 +156,7 @@ def _cmd_replay(args) -> tuple[int, str]:
         overrides["filter_bsi"] = args.filter_bsi == "on"
     config = dataclasses.replace(config, **overrides)
     with open(args.trace, "r", encoding="utf-8") as handle:
-        # the lines a file handle yields, read in one go
-        events = parse_trace(handle.read().split("\n"))
+        events = parse_trace(handle.read())
     stats = replay(events, config)
     return 0, _dump(stats.as_dict())
 

@@ -59,9 +59,6 @@ class SprayPattern:
     def data(self) -> bytes:
         return self.value.to_bytes(self.width, "little")
 
-    def is_byte_shift_independent(self) -> bool:
-        return len(set(self.data)) == 1
-
 
 @dataclass(frozen=True)
 class AttackScenario:

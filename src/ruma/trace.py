@@ -14,6 +14,7 @@ id. Replay is sequential by definition; parsing is pure.
 
 from __future__ import annotations
 
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -55,87 +56,65 @@ def _column(raw_line: str, tokens, index: int) -> int:
     return pos + 1
 
 
-def _parse_line(raw: str, lineno: int, live: set):
-    """The event on one line, or None for a blank or comment line; every
-    rule of :func:`parse_trace` is checked here."""
-    tokens = raw.split("#", 1)[0].split()
-    if not tokens:
-        return None
-    token = tokens[0]
-    kind = _KIND_BY_TOKEN.get(token)
-    if kind is None:
-        raise TraceError(
-            f"unknown event {token!r}", line=lineno, column=_column(raw, tokens, 0)
-        )
-    expected = 2 if kind == "free" else 3
-    if len(tokens) != expected:
-        raise TraceError(
-            f"{kind} expects {expected} tokens, got {len(tokens)}", line=lineno
-        )
-    ident = tokens[1]
-    size = None
-    if kind != "free":
-        try:
-            size = int(tokens[2])
-        except ValueError:
-            raise TraceError(
-                f"bad size {tokens[2]!r}",
-                line=lineno,
-                column=_column(raw, tokens, 2),
-            ) from None
-        if size < 0:
-            raise TraceError(f"negative size {size}", line=lineno)
-    if kind == "alloc":
-        if ident in live:
-            raise TraceError(
-                f"id {ident!r} is already live",
-                line=lineno,
-                column=_column(raw, tokens, 1),
-            )
-        live.add(ident)
-    else:
-        if ident not in live:
-            raise TraceError(
-                f"{kind} of unknown id {ident!r}",
-                line=lineno,
-                column=_column(raw, tokens, 1),
-            )
-        if kind == "free":
-            live.discard(ident)
-    return TraceEvent(kind, ident, size, lineno)
-
-
 def parse_trace(source) -> list:
-    """Parse a trace from a string or an iterable of lines.
+    r"""Parse a trace from a string or an iterable of lines.
 
-    Raises :class:`TraceError` with line and column on malformed input,
-    duplicate live ids, or references to ids that are not live.
+    A string is read as a text-mode file reads it: lines end at ``\n``,
+    ``\r\n`` or ``\r``. Raises :class:`TraceError` with line and column
+    on malformed input, duplicate live ids, or references to ids that are
+    not live. A line that breaks several rules reports the first of: event
+    token, token count, size, liveness.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     events = []
     live = set()
     append, make = events.append, TraceEvent
     for lineno, raw in enumerate(lines, 1):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        # Well-formed allocs and frees, the bulk of any trace, are taken
-        # here; every other line goes through the full validation.
-        n = len(tokens)
-        if n == 3 and tokens[0] == "a" and tokens[1] not in live:
+        if not tokens:
+            continue
+        kind = _KIND_BY_TOKEN.get(tokens[0])
+        if kind is None:
+            raise TraceError(
+                f"unknown event {tokens[0]!r}",
+                line=lineno,
+                column=_column(raw, tokens, 0),
+            )
+        expected = 2 if kind == "free" else 3
+        if len(tokens) != expected:
+            raise TraceError(
+                f"{kind} expects {expected} tokens, got {len(tokens)}", line=lineno
+            )
+        ident = tokens[1]
+        size = None
+        if kind != "free":
             try:
                 size = int(tokens[2])
             except ValueError:
-                size = -1
-            if size >= 0:
-                live.add(tokens[1])
-                append(make("alloc", tokens[1], size, lineno))
-                continue
-        elif n == 2 and tokens[0] == "f" and tokens[1] in live:
-            live.remove(tokens[1])
-            append(make("free", tokens[1], None, lineno))
-            continue
-        event = _parse_line(raw, lineno, live)
-        if event is not None:
-            append(event)
+                raise TraceError(
+                    f"bad size {tokens[2]!r}",
+                    line=lineno,
+                    column=_column(raw, tokens, 2),
+                ) from None
+            if size < 0:
+                raise TraceError(f"negative size {size}", line=lineno)
+        if kind == "alloc":
+            if ident in live:
+                raise TraceError(
+                    f"id {ident!r} is already live",
+                    line=lineno,
+                    column=_column(raw, tokens, 1),
+                )
+            live.add(ident)
+        elif ident not in live:
+            raise TraceError(
+                f"{kind} of unknown id {ident!r}",
+                line=lineno,
+                column=_column(raw, tokens, 1),
+            )
+        elif kind == "free":
+            live.remove(ident)
+        append(make(kind, ident, size, lineno))
     return events
 
 

@@ -109,13 +109,13 @@ def test_default_ladder_shape():
 
 
 @pytest.mark.parametrize("ptr", [4, 8])
-def test_class_index_for_matches_a_bisect_oracle(ptr):
+def test_alloc_class_matches_a_bisect_oracle(ptr):
     arena = make_arena(pointer_width=ptr)
     maxes = [c.max_size for c in arena.size_class_table]
-    for size in range(-2, PAGE_SIZE + 2):
+    for size in range(PAGE_SIZE + 2):
         i = bisect_left(maxes, size)  # the first class whose max covers size
         expected = i if i < len(maxes) else LARGE_CLASS
-        assert arena.class_index_for(size) == expected, size
+        assert arena.alloc(size).size_class_index == expected, size
 
 
 def test_table_invariants():

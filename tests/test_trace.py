@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruma import ArenaConfig, CapacityError
+from ruma import ArenaConfig, CapacityError, cli
 from ruma.arena import Arena
 from ruma.errors import TraceError
 from ruma.trace import (
@@ -53,6 +53,10 @@ def test_parse_accepts_line_iterables(tmp_path):
         ("r 1 64\n", "unknown id"),
         ("f 1\n", "unknown id"),
         ("a 1 8\nf 1\nf 1\n", "unknown id"),
+        # a line that breaks several rules reports the first it breaks
+        ("r 9 -1\n", "negative size"),
+        ("f 9 2\n", "expects 2 tokens"),
+        ("a 1 8\na 1 x\n", "bad size"),
     ],
 )
 def test_parse_errors_carry_position(text, fragment):
@@ -97,6 +101,50 @@ def test_parse_sources_agree(text):
         events = parse_trace(source)
         assert events == expected
         assert [e.line for e in events] == [e.line for e in expected]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a 1 8\f\nf 1\n",
+        "a 1 8\ff 1\n",
+        "a 1 8\rf 1\n",
+        # str.splitlines breaks lines at these too; a text-mode file does not
+        "a 1 8\vf 1\n",
+        "a 1 8\x1cf 1\n",
+        "a 1 8\x85f 1\n",
+        "a 1 8\u2028f 1\n",
+    ],
+    ids=["ff-newline", "ff", "cr", "vt", "fs", "nel", "ls"],
+)
+def test_str_file_and_replay_read_the_same_lines(text, tmp_path, monkeypatch):
+    path = tmp_path / "t.trace"
+    path.write_bytes(text.encode("utf-8"))
+    replayed = []
+    real_replay = cli.replay
+
+    def recording_replay(events, config):
+        replayed.append(events)
+        return real_replay(events, config)
+
+    monkeypatch.setattr(cli, "replay", recording_replay)
+
+    def outcome(read):
+        """The events with their lines, or the error text the CLI prints."""
+        try:
+            events = read()
+        except TraceError as exc:
+            return str(exc)
+        return [(e.kind, e.id, e.size, e.line) for e in events]
+
+    def via_replay():
+        cli.dispatch(["replay", "--trace", str(path)])
+        return replayed.pop()
+
+    with open(path, "r", encoding="utf-8") as handle:
+        from_file = outcome(lambda: parse_trace(handle))
+    assert outcome(lambda: parse_trace(text)) == from_file
+    assert outcome(via_replay) == from_file
 
 
 def test_id_reusable_after_free():
