@@ -13,7 +13,8 @@ the random offset applied and no border handling beyond that.
 A 32-bit arena with ``filter_bsi`` withholds any slot whose outgoing span
 would cover a byte-shift-independent address (see :mod:`ruma.bsi`). Spans
 of ``BSI_PERIOD`` bytes or more are exempt and never checked: every such
-span covers one, so no placement could pass the filter.
+span covers one, so no placement could pass the filter. A free-list slot
+with no BSI address anywhere in its reserve is handed out untested.
 
 An arena manages a purely virtual address range and never touches real
 memory, which makes 32-bit address space experiments cheap inside a
@@ -217,6 +218,7 @@ class ArenaCounters:
     total_reallocs: int = 0
     aligned_allocs: int = 0
     promotions: int = 0
+    # spans actually passed to the BSI range test
     bsi_span_checks: int = 0
     bsi_candidates: int = 0
     bsi_quarantined: int = 0
@@ -408,7 +410,12 @@ class Arena:
             key = ci
             reserved = self._class_reserve[ci]
         free = self._free[key]
-        if free and not self._filter:  # _place's first choice, inline
+        # _place's first choice, inline: the free list's last slot, untested
+        # when no BSI address lies in its reserve, which holds every span the
+        # slot can serve
+        if free and (not self._filter or (
+            not self._quarantine[key] and -free[-1] % BSI_PERIOD >= reserved
+        )):
             start = free.pop() + offset
         else:
             start = self._place(key, offset, size) + offset

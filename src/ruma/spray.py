@@ -11,8 +11,12 @@ filter exists for.
 
 Success probabilities are computed two independent ways: exact shift
 enumeration and seeded Monte Carlo sampling with a Wilson interval.
-Everything is pure given (scenario, seed); trial batches could be split
-across workers as long as per-worker seeds derive from the root seed.
+Everything is pure given (scenario, seed). All draws come from one Philox
+stream in batch order, so splitting the batches across workers keeps the
+seeded output only if each worker reproduces its stretch of that single
+stream (for example by advancing a copy of it); per-worker seeds, even
+ones derived from the root seed, draw different shifts and change the
+result.
 """
 
 from __future__ import annotations
@@ -140,8 +144,11 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
     batch = max(1, min(trials, _BATCH_DRAWS // k))
     while remaining:
         n = min(batch, remaining)
-        draws = rng.integers(0, states, size=(n, k))
-        successes += int(matches[draws].all(axis=1).sum())
+        # One row per stage, so the AND runs down k contiguous rows of n
+        # chains instead of starting a reduction per chain; the draws die
+        # here, before the next batch is drawn.
+        stages = matches[rng.integers(0, states, size=(n, k))].T
+        successes += int(np.count_nonzero(np.ascontiguousarray(stages).all(axis=0)))
         remaining -= n
     ci_low, ci_high = _wilson(successes, trials)
     return MonteCarloResult(

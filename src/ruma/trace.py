@@ -7,6 +7,7 @@ comment, tokens separated by whitespace:
     f ID          free the allocation known as ID
     r ID SIZE     reallocate ID to SIZE bytes (ID stays live)
 
+SIZE is one or more ASCII digits.
 IDs are opaque tokens, unique among live allocations. Parsing validates
 referential integrity, so replay never sees a free or realloc of a dead
 id. Replay is sequential by definition; parsing is pure.
@@ -88,16 +89,17 @@ def parse_trace(source) -> list:
         ident = tokens[1]
         size = None
         if kind != "free":
-            try:
-                size = int(tokens[2])
-            except ValueError:
+            text = tokens[2]
+            if not (text.isdigit() and text.isascii()):
+                digits = text[1:] if text[:1] == "-" else ""
+                if digits.isdigit() and digits.isascii() and int(digits):
+                    raise TraceError(f"negative size {int(text)}", line=lineno)
                 raise TraceError(
-                    f"bad size {tokens[2]!r}",
+                    f"bad size {text!r}",
                     line=lineno,
                     column=_column(raw, tokens, 2),
-                ) from None
-            if size < 0:
-                raise TraceError(f"negative size {size}", line=lineno)
+                )
+            size = int(text)
         if kind == "alloc":
             if ident in live:
                 raise TraceError(

@@ -499,6 +499,26 @@ def test_filter_quarantines_and_reuses_slots():
     assert not oracles.table_contains(reuse.start, reuse.requested)
 
 
+def test_filter_tests_a_slot_whose_reserve_ends_on_a_bsi_address():
+    # 24-byte requests get 32-byte slots with an 8-byte pad: the address is
+    # the last pad byte of one slot, which no chunk there covers, yet that
+    # slot still goes to the counted span test, while slots with no address
+    # in their reserve leave the free list untested
+    arena, addr = _arena_with_bsi_slot(stride=32, lo=31, hi=32)
+    target = addr - 31
+    for _ in range((addr - arena._base) // PAGE_SIZE):
+        arena.alloc(2048)  # one page per slot, all below the address's page
+    # the page's slots go out in address order, the run's first one carved
+    for slot in range(target - target % PAGE_SIZE, target + 1, 32):
+        checks = arena.counters.bsi_span_checks
+        rec = arena.alloc(24)
+        assert rec.start - rec.offset == slot
+        tested = slot == target or slot % PAGE_SIZE == 0
+        assert arena.counters.bsi_span_checks - checks == tested, hex(slot)
+    assert rec.start + rec.requested <= addr
+    assert arena.counters.bsi_quarantined == 0
+
+
 def test_filter_exempts_spans_of_a_full_bsi_period():
     # every span this long covers a BSI address, so no placement could pass
     arena = make_arena(address_space_bits=32, filter_bsi=True, rng_seed=34)

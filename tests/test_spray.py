@@ -2,11 +2,13 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
+from ruma import spray as spray_module
 from ruma.spray import (
     AttackScenario,
     SprayPattern,
@@ -21,6 +23,7 @@ import oracles
 GENERIC64 = SprayPattern(0xDEADBEEFCAFEBABE, 8)
 GENERIC32 = SprayPattern(0xCAFEBABE, 4)
 BSI64 = SprayPattern(0x9797979797979797, 8)
+HALF64 = SprayPattern(0x3534353435343534, 8)  # two-byte period
 
 
 def scenario(width=8, g=1, k=1, pattern=None):
@@ -205,6 +208,64 @@ def test_monte_carlo_seed_reproducible():
 def test_monte_carlo_validates_trials():
     with pytest.raises(ValueError):
         monte_carlo(scenario(), 0, seed=1)
+
+
+def _oracle_successes(sc, trials, seed):
+    """Chains whose stages all read the pattern back, counted in Python
+    over one draw of the whole (trials, k) shift-index stream."""
+    table = [read_at_shift(sc.pattern, s) == sc.pattern.value for s in sc.shifts]
+    rng = np.random.Generator(np.random.Philox(seed))
+    draws = rng.integers(0, len(table), size=(trials, sc.chain_length))
+    return sum(all(map(table.__getitem__, chain)) for chain in draws.tolist())
+
+
+ORACLE_GRID = [
+    (width, g, pattern)
+    for width, patterns in ((4, (GENERIC32,)), (8, (GENERIC64, HALF64)))
+    for g in (1, 2, 4, 8)
+    if g <= width
+    for pattern in patterns
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 1000])
+@pytest.mark.parametrize("width, g, pattern", ORACLE_GRID)
+def test_monte_carlo_counts_the_chains_of_one_stream(monkeypatch, width, g, pattern, k):
+    # batches a few chains long, and a trial count that ends mid-batch
+    monkeypatch.setattr(spray_module, "_BATCH_DRAWS", 3000)
+    sc = scenario(width=width, g=g, k=k, pattern=pattern)
+    trials = 2 * max(1, 3000 // k) + 1
+    assert monte_carlo(sc, trials, seed=k).successes == _oracle_successes(sc, trials, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 1000])
+def test_monte_carlo_counts_the_chains_across_full_batches(k):
+    # the real batch size, ending one chain into a further batch
+    sc = scenario(width=8, g=4, k=k)  # one stage in two reads the value back
+    trials = 1_000_000 // k + 1
+    assert monte_carlo(sc, trials, seed=5).successes == _oracle_successes(sc, trials, 5)
+
+
+def test_monte_carlo_counts_million_stage_chains():
+    # a million stages: one chain per batch
+    for g, expected in ((4, 0), (8, 3)):
+        sc = scenario(width=8, g=g, k=1_000_000)
+        result = monte_carlo(sc, 3, seed=9)
+        assert result.successes == _oracle_successes(sc, 3, 9) == expected
+
+
+@pytest.mark.parametrize(
+    "sc, trials, seed, successes",
+    [
+        # the benchmark's tradeoff scenario, at a tenth of its trials
+        (scenario(width=8, g=1, k=2), 1_000_000, 1, 15706),
+        (scenario(width=4, g=1, k=3, pattern=SprayPattern(0x35343534, 4)),
+         1_234_567, 7, 153845),
+        (scenario(width=8, g=1, k=7, pattern=HALF64), 1_000_003, 3, 7862),
+    ],
+)
+def test_monte_carlo_successes_are_pinned(sc, trials, seed, successes):
+    assert monte_carlo(sc, trials, seed).successes == successes
 
 
 # -- Wilson interval ----------------------------------------------------------

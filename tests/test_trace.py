@@ -57,6 +57,12 @@ def test_parse_accepts_line_iterables(tmp_path):
         ("r 9 -1\n", "negative size"),
         ("f 9 2\n", "expects 2 tokens"),
         ("a 1 8\na 1 x\n", "bad size"),
+        # SIZE is ASCII digits only; int() would take all of these
+        ("a 1 1_0\n", "bad size"),
+        ("a 2 +8\n", "bad size"),
+        ("a 3 \u0663\n", "bad size"),  # ARABIC-INDIC DIGIT THREE
+        ("a 4 \uff18\n", "bad size"),  # FULLWIDTH DIGIT EIGHT
+        ("a 5 -0\n", "bad size"),
     ],
 )
 def test_parse_errors_carry_position(text, fragment):
@@ -74,6 +80,7 @@ def test_parse_errors_carry_position(text, fragment):
         ("  z 1 2\n", 1, 3),
         ("a 1 8\nf  9\n", 2, 4),
         ("r 1 1\n", 1, 3),
+        ("a 1 8\nr 1 +8\n", 2, 5),
     ],
 )
 def test_parse_error_columns_point_at_the_token(text, line, column):
