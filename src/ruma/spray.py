@@ -133,6 +133,8 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
     rate with a 99% Wilson interval."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     import numpy as np
 
     matches = np.array(_match_table(scenario), dtype=bool)

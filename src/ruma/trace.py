@@ -11,6 +11,11 @@ SIZE is one or more ASCII digits.
 IDs are opaque tokens, unique among live allocations. Parsing validates
 referential integrity, so replay never sees a free or realloc of a dead
 id. Replay is sequential by definition; parsing is pure.
+
+The generator draws from one Philox stream. Sizes call numpy's
+``lognormal``; each step's roll and each live-id pick are computed from
+the stream's raw 64-bit words, as numpy's ``random()`` and
+``integers(0, n)`` compute them, so seeded traces match numpy's calls.
 """
 
 from __future__ import annotations
@@ -179,6 +184,30 @@ def replay(events, config: ArenaConfig) -> ReplayStats:
     return replay_into(Arena(config), events)
 
 
+def _pick(raw, n: int, spare: int) -> tuple:
+    """``Generator.integers(0, n)`` for ``1 <= n <= 2**32``, computed from
+    ``raw()``, the Philox generator's raw 64-bit words.
+
+    Like numpy, it draws nothing for ``n == 1`` and otherwise maps 32-bit
+    halves to ``[0, n)`` by Lemire's multiply-and-reject. A word serves
+    its low half first and its high half is kept for the next half asked
+    for, as Philox's ``next_uint32`` buffer keeps it. ``spare`` is that
+    kept half, or -1 for none; returns the pick and the new ``spare``.
+    """
+    if n == 1:
+        return 0, spare
+    while True:
+        if spare < 0:
+            word = raw()
+            half, spare = word & 0xFFFFFFFF, word >> 32
+        else:
+            half, spare = spare, -1
+        m = half * n
+        # (2**32 - n) % n < n, so the modulo is needed only below n
+        if m & 0xFFFFFFFF >= n or m & 0xFFFFFFFF >= (0x100000000 - n) % n:
+            return m >> 32, spare
+
+
 def generate_trace(
     events: int,
     seed: int,
@@ -196,9 +225,17 @@ def generate_trace(
     with probability 0.55, reallocates a random live id with 0.10, and
     frees a random live id otherwise. Ids are decimal tokens in allocation
     order. Deterministic for a fixed seed.
+
+    All draws come from one Philox stream. Only sizes call numpy
+    (``lognormal``); each step's roll and each live-id pick are computed
+    from the stream's raw 64-bit words exactly as ``Generator.random()``
+    and ``Generator.integers(0, n)`` compute them, which saves numpy's
+    per-call overhead and keeps every seeded trace unchanged.
     """
     if events < 0:
         raise ValueError("events must be non-negative")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if min_size < 0 or max_size < min_size:
         raise ValueError("bad size bounds")
     if not 0 < median < math.inf:
@@ -208,30 +245,39 @@ def generate_trace(
     import numpy as np
 
     rng = np.random.Generator(np.random.Philox(seed))
+    raw = rng.bit_generator.random_raw
+    lognormal = rng.lognormal
     # np.log, not math.log: the two may differ in the last bit, which would
     # change every seeded trace
-    mean = np.log(median)
+    mean = float(np.log(median))
+    # a roll is Philox's next_double, (word >> 11) / 2**53, and for an
+    # integer w, w / 2**53 < p exactly when w < ceil(p * 2**53): so a roll
+    # below p is a word below that bound shifted left by 11
+    alloc_below = math.ceil(_ALLOC_PROB * 2.0**53) << 11
+    realloc_below = math.ceil((_ALLOC_PROB + _REALLOC_PROB) * 2.0**53) << 11
+    spare = -1
     out = []
+    append = out.append
     live = []
     next_id = 1
-
-    def draw_size() -> int:
-        # clamped before rounding, so a draw that overflows to inf is max_size
-        size = float(rng.lognormal(mean, sigma))
-        return int(round(max(min_size, min(max_size, size))))
-
     for _ in range(events):
-        roll = float(rng.random())
-        if not live or roll < _ALLOC_PROB:
+        word = raw()
+        if word < alloc_below or not live:
             ident = str(next_id)
             next_id += 1
             live.append(ident)
-            out.append(TraceEvent("alloc", ident, draw_size()))
-        elif roll < _ALLOC_PROB + _REALLOC_PROB:
-            ident = live[int(rng.integers(0, len(live)))]
-            out.append(TraceEvent("realloc", ident, draw_size()))
+            kind = "alloc"
         else:
-            pick = int(rng.integers(0, len(live)))
-            live[pick], live[-1] = live[-1], live[pick]
-            out.append(TraceEvent("free", live.pop()))
+            pick, spare = _pick(raw, len(live), spare)
+            if word >= realloc_below:
+                live[pick], live[-1] = live[-1], live[pick]
+                append(TraceEvent("free", live.pop()))
+                continue
+            ident = live[pick]
+            kind = "realloc"
+        # clamped before rounding, so a draw that overflows to inf is max_size
+        size = lognormal(mean, sigma)
+        append(TraceEvent(kind, ident, round(
+            min_size if size < min_size else max_size if size > max_size else size
+        )))
     return out

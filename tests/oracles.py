@@ -64,3 +64,33 @@ def assert_live_disjoint(allocations) -> None:
     )
     for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
         assert e1 <= s2, f"overlapping live ranges [{s1:#x},{e1:#x}) and [{s2:#x},{e2:#x})"
+
+
+def reference_trace(
+    events, seed, *, median=32.0, sigma=1.0, min_size=1, max_size=4096
+):
+    """The trace generator written with numpy's public draws: one
+    ``random()`` per step, ``integers(0, n)`` per pick, ``lognormal`` per
+    size. Returns ``(kind, id, size)`` tuples."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    mean = np.log(median)
+    out, live, next_id = [], [], 1
+
+    def size():
+        drawn = float(rng.lognormal(mean, sigma))
+        return int(round(max(min_size, min(max_size, drawn))))
+
+    for _ in range(events):
+        roll = float(rng.random())
+        if not live or roll < 0.55:
+            live.append(str(next_id))
+            next_id += 1
+            out.append(("alloc", live[-1], size()))
+        elif roll < 0.55 + 0.10:
+            ident = live[int(rng.integers(0, len(live)))]
+            out.append(("realloc", ident, size()))
+        else:
+            pick = int(rng.integers(0, len(live)))
+            live[pick], live[-1] = live[-1], live[pick]
+            out.append(("free", live.pop(), None))
+    return out

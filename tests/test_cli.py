@@ -200,6 +200,8 @@ def test_bad_domain_input_is_usage_error(tmp_path):
         "gen-trace --sigma inf",
         "gen-trace --median 0",
         "gen-trace --median -5",
+        "gen-trace --seed -1",
+        "spray-sim --seed -1 --pattern ff --trials 1",
         "spray-sim --pattern ff --chain 1000001 --trials 1",
         "filter-check --start 0 --len -1",
         "bench --iters 0",
@@ -218,6 +220,22 @@ def test_out_of_domain_values_exit_2_without_traceback(argv, monkeypatch, capsys
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert err.startswith("ruma: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize(
+    "argv", ["gen-trace --events 5", "spray-sim --pattern ff --trials 1"]
+)
+def test_negative_seed_is_named_in_the_error(argv, env, monkeypatch, capsys):
+    if env:
+        monkeypatch.setenv("RUMA_SEED", "-1")
+    else:
+        argv += " --seed -1"
+    monkeypatch.setattr("sys.argv", ["ruma", *argv.split()])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "ruma: error: seed must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])

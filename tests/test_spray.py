@@ -208,6 +208,8 @@ def test_monte_carlo_seed_reproducible():
 def test_monte_carlo_validates_trials():
     with pytest.raises(ValueError):
         monte_carlo(scenario(), 0, seed=1)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        monte_carlo(scenario(), 10, seed=-1)
 
 
 def _oracle_successes(sc, trials, seed):

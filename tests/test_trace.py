@@ -3,15 +3,19 @@
 import io
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 from ruma import ArenaConfig, CapacityError, cli
 from ruma.arena import Arena
 from ruma.errors import TraceError
 from ruma.trace import (
     TraceEvent,
+    _pick,
     generate_trace,
     parse_trace,
     replay,
@@ -265,6 +269,8 @@ def test_generator_respects_bounds():
             assert 16 <= ev.size <= 128
     with pytest.raises(ValueError):
         generate_trace(-1, seed=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        generate_trace(10, seed=-1)
 
 
 def test_generator_event_mix():
@@ -272,3 +278,41 @@ def test_generator_event_mix():
     kinds = Counter(e.kind for e in events)
     for kind, share in (("alloc", 0.55), ("realloc", 0.10), ("free", 0.35)):
         assert abs(kinds[kind] / len(events) - share) <= 0.02, kind
+
+
+@pytest.mark.parametrize("events", [0, 1, 2, 7, 20_000])
+@pytest.mark.parametrize(
+    "params",
+    [
+        {},
+        {"median": 512, "sigma": 1.5, "max_size": 65536},
+        {"sigma": 0.0},
+        {"min_size": 24, "max_size": 24},
+        {"median": 1e308, "sigma": 5.0, "max_size": 512},  # draws overflow to inf
+    ],
+    ids=["default", "mixed", "sigma0", "one-size", "overflow"],
+)
+@pytest.mark.parametrize("seed", [1, 3, 12])
+def test_generator_matches_numpys_public_draws(seed, params, events):
+    # the short traces keep returning to a single live id, where a pick
+    # draws nothing
+    got = [(e.kind, e.id, e.size) for e in generate_trace(events, seed, **params)]
+    assert got == oracles.reference_trace(events, seed, **params)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 2**31 + 1, 3 * 2**30])
+def test_pick_draws_what_numpys_integers_draws(n):
+    # twin generators on one seed; rolls and sizes between the picks take
+    # whole words and must leave a kept half alone. The two large n make
+    # Lemire's method reject about a half and a quarter of the halves.
+    ours = np.random.Generator(np.random.Philox(7))
+    theirs = np.random.Generator(np.random.Philox(7))
+    raw = ours.bit_generator.random_raw
+    spare = -1
+    for step in range(2000):
+        pick, spare = _pick(raw, n, spare)
+        assert pick == theirs.integers(0, n), step
+        if step % 3 == 0:
+            assert (raw() >> 11) * (1.0 / 2**53) == theirs.random(), step
+        if step % 5 == 0:
+            assert ours.lognormal(1.0, 2.0) == theirs.lognormal(1.0, 2.0), step
