@@ -249,7 +249,7 @@ def generate_trace(
     lognormal = rng.lognormal
     # np.log, not math.log: the two may differ in the last bit, which would
     # change every seeded trace
-    mean = float(np.log(median))
+    mean = np.log(median)
     # a roll is Philox's next_double, (word >> 11) / 2**53, and for an
     # integer w, w / 2**53 < p exactly when w < ceil(p * 2**53): so a roll
     # below p is a word below that bound shifted left by 11

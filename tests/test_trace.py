@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
-
 from ruma import ArenaConfig, CapacityError, cli
 from ruma.arena import Arena
 from ruma.errors import TraceError
@@ -22,6 +20,8 @@ from ruma.trace import (
     replay_into,
     serialize_trace,
 )
+
+import oracles
 
 
 def test_parse_basic():
