@@ -99,7 +99,9 @@ class ArenaConfig:
                 f"address_space_bits must be 32 or 64, got {self.address_space_bits}"
             )
         if not 0 <= self.rng_seed < 1 << 64:
-            raise ConfigError("rng_seed must fit in an unsigned 64-bit integer")
+            raise ConfigError(
+                f"rng_seed must fit in an unsigned 64-bit integer, got {self.rng_seed}"
+            )
         if self.arena_capacity <= 0:
             raise ConfigError("arena_capacity must be positive")
         # Room is needed for a page-aligned base strictly inside the space.

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the seed check, shared across the package."""
 
 
 class RumaError(Exception):
@@ -34,3 +34,12 @@ class TraceError(RumaError):
 
 class BenchError(RumaError):
     """Benchmark parameters cannot be planned or executed."""
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2**64), the domain of ``ArenaConfig.rng_seed``,
+    so every seeded command accepts the same seeds. Raises ``ValueError``."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if seed >= 1 << 64:
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")

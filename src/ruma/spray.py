@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .errors import check_seed
 
 __all__ = [
     "AttackScenario",
@@ -114,9 +115,11 @@ def _match_table(scenario: AttackScenario):
 def chained_success(scenario: AttackScenario) -> float:
     """Exact success probability of ``chain_length`` independent stages: the
     share of allowed shifts that read the sprayed value back, raised to the
-    chain length (a chain of 1 is a single dereference)."""
+    chain length (a chain of 1 is a single dereference). Python's int/int
+    division rounds correctly, so this is the exact ratio, rounded once."""
     matches = _match_table(scenario)
-    return float(Fraction(sum(matches), len(matches)) ** scenario.chain_length)
+    k = scenario.chain_length
+    return sum(matches) ** k / len(matches) ** k
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,7 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
     rate with a 99% Wilson interval."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     import numpy as np
 
     matches = np.array(_match_table(scenario), dtype=bool)

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .arena import Arena, ArenaConfig, ReplayStats, _next_pow2
-from .errors import CapacityError, TraceError
+from .errors import CapacityError, TraceError, check_seed
 
 __all__ = [
     "TraceEvent",
@@ -234,8 +234,7 @@ def generate_trace(
     """
     if events < 0:
         raise ValueError("events must be non-negative")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     if min_size < 0 or max_size < min_size:
         raise ValueError("bad size bounds")
     if not 0 < median < math.inf:

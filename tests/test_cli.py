@@ -1,5 +1,6 @@
 """CLI behavior: output shapes, schema validation, exit codes, help."""
 
+import ast
 import gc
 import json
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import ruma
 from conftest import child_env, run_cli, run_python
-from ruma import cli
+from ruma import cli, membench
 from ruma.cli import build_parser, dispatch, main
 
 DATA = Path(__file__).parent / "data"
@@ -170,6 +172,51 @@ def test_handlers_call_the_layers_through_module_names(tmp_path, monkeypatch):
         assert calls == names
 
 
+def test_wrappers_set_before_the_first_command_run_in_a_fresh_process(tmp_path):
+    # perfbench wraps the layer names on ruma.cli before any command has
+    # imported them; a handler must then call the wrapper, not rebind the name.
+    probe = """
+import sys
+from ruma import cli
+
+calls = []
+
+def recording(name):
+    inner = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    return wrapper
+
+for name in cli._LAYERS:
+    setattr(cli, name, recording(name))
+for command in sys.argv[1:]:
+    code, _ = cli.dispatch(command.split())
+    print(code, *calls)
+    calls.clear()
+"""
+    expected = {
+        "gen-trace --events 100 --out t.trace": "generate_trace serialize_trace",
+        "replay --trace t.trace": "ArenaConfig parse_trace replay",
+        "spray-sim --pattern ff --trials 10":
+            "SprayPattern AttackScenario monte_carlo chained_success",
+        "bench --iters 1 --scale 0.0001": "full_report",
+    }
+    proc = run_python("-c", probe, *expected, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"0 {names}" for names in expected.values()]
+    called = " ".join(expected.values()).split()
+    assert sorted(called) == sorted(cli._LAYERS)
+
+
+def test_unknown_names_still_raise_attribute_error():
+    for module in (ruma, cli):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+
+
 # -- exit codes ----------------------------------------------------------------
 
 
@@ -234,6 +281,37 @@ def test_negative_seed_from_the_environment_is_named(argv, monkeypatch, capsys):
         main()
     assert exc.value.code == 2
     assert capsys.readouterr().err == "ruma: error: seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize(
+    "argv",
+    ["gen-trace --events 3", "spray-sim --pattern ff --trials 1", "replay --trace {trace}"],
+    ids=["gen-trace", "spray-sim", "replay"],
+)
+def test_seeds_beyond_64_bits_exit_2_by_name(argv, via, tmp_path, monkeypatch, capsys):
+    # every seeded command takes the seeds ArenaConfig.rng_seed takes
+    trace = tmp_path / "t.trace"
+    trace.write_text("a 1 8\n", encoding="utf-8")
+    argv = argv.format(trace=trace).split()
+    seed = str(2**64)
+    if via == "flag":
+        argv += ["--seed", seed]
+    else:
+        monkeypatch.setenv("RUMA_SEED", seed)
+    monkeypatch.setattr("sys.argv", ["ruma", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    name = "rng_seed" if argv[0] == "replay" else "seed"
+    assert capsys.readouterr().err == (
+        f"ruma: error: {name} must fit in an unsigned 64-bit integer, got {seed}\n"
+    )
+
+
+def test_the_largest_64_bit_seed_is_accepted():
+    code, out = dispatch(["gen-trace", "--events", "3", "--seed", str(2**64 - 1)])
+    assert code == 0 and len(out.splitlines()) == 3
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
@@ -307,7 +385,7 @@ finally:
           file=sys.stderr)
 """
     proc = run_python("-c", probe, *argv, cwd=cwd)
-    return proc, proc.stderr.splitlines()[-1]
+    return proc, ast.literal_eval(proc.stderr.splitlines()[-1])
 
 
 def test_spray_sim_runs_without_scipy():
@@ -317,10 +395,10 @@ def test_spray_sim_runs_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["trials"] == 1000
-    assert loaded == "[]"
+    assert loaded == []
 
 
-@pytest.mark.parametrize(
+LIGHT_COMMANDS = pytest.mark.parametrize(
     ("argv", "code"),
     [
         (["filter-check", "--start", "12121213", "--len", "4"], 0),
@@ -330,10 +408,65 @@ def test_spray_sim_runs_without_scipy():
     ],
     ids=["filter-check", "version", "help", "usage-error"],
 )
+
+
+@LIGHT_COMMANDS
 def test_light_commands_load_no_numpy(argv, code):
     proc, loaded = _run_cli_listing("numpy", *argv)
     assert proc.returncode == code, proc.stderr
-    assert loaded == "[]"
+    assert loaded == []
+
+
+@LIGHT_COMMANDS
+def test_light_commands_load_only_bsi_and_errors(argv, code):
+    proc, loaded = _run_cli_listing("ruma", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert loaded == ["ruma", "ruma.bsi", "ruma.errors"]
+    proc, loaded = _run_cli_listing("dataclasses", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    ("argv", "unloaded"),
+    [
+        (["spray-sim", "--pattern", "ff", "--trials", "10"],
+         {"ruma.arena", "ruma.trace", "ruma.membench"}),
+        (["gen-trace", "--events", "10", "--out", "t.trace"],
+         {"ruma.spray", "ruma.membench"}),
+        (["replay", "--trace", "t.trace"], {"ruma.spray", "ruma.membench"}),
+    ],
+    ids=["spray-sim", "gen-trace", "replay"],
+)
+def test_numpy_commands_load_only_their_own_layers(argv, unloaded, tmp_path):
+    (tmp_path / "t.trace").write_text("a 1 8\nf 1\n", encoding="utf-8")
+    proc, loaded = _run_cli_listing("ruma", *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert not unloaded & set(loaded), loaded
+    proc, loaded = _run_cli_listing("fractions", *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert loaded == []
+
+
+def test_importing_ruma_loads_only_its_errors():
+    proc = run_python(
+        "-c",
+        "import sys, ruma\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'ruma'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['ruma', 'ruma.errors']"
+
+
+def test_every_api_name_imports_from_a_fresh_process():
+    names = ", ".join(ruma.__all__)
+    proc = run_python(
+        "-c",
+        f"import ruma\nfrom ruma import {names}\n"
+        "print(sorted(set(ruma.__all__) - set(dir(ruma))))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_importing_the_api_loads_no_numpy():
@@ -360,7 +493,7 @@ def test_numpy_commands_run_in_a_fresh_process(tmp_path):
         proc, loaded = _run_cli_listing("numpy", *argv, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)
-        assert loaded != "[]"
+        assert loaded
 
 
 # -- help text -----------------------------------------------------------------
@@ -368,6 +501,11 @@ def test_numpy_commands_run_in_a_fresh_process(tmp_path):
 
 def _golden(name):
     return (DATA / name).read_text(encoding="utf-8")
+
+
+def test_bench_csv_help_quotes_the_csv_header():
+    # the parser spells the header out so --help need not import membench
+    assert f"also write CSV ({membench.CSV_HEADER})" in _golden("help_bench.txt")
 
 
 def test_main_help_matches_golden():

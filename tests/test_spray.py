@@ -1,6 +1,7 @@
 """Spray attack model: shift reads, exact probabilities, sampling, intervals."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,6 +170,18 @@ def test_chained_decay_and_sub_one_percent():
 
 def test_long_chain_closed_form():
     assert chained_success(scenario(width=8, g=1, k=31)) == 0.125**31
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 53, 1000, 10**6])
+def test_chained_success_is_the_rounded_fraction_power(k, monkeypatch):
+    # int/int true division is correctly rounded, so m**k / n**k is the
+    # float nearest (m/n)**k for every share m/n of matching shifts
+    for n in (1, 2, 4, 8):
+        for m in range(n + 1):
+            table = [True] * m + [False] * (n - m)
+            monkeypatch.setattr(spray_module, "_match_table", lambda sc: table)
+            got = chained_success(scenario(width=8, g=8 // n, k=k))
+            assert got == float(Fraction(m, n) ** k), (m, n)
 
 
 def test_scenario_validation():
