@@ -16,7 +16,8 @@ their submodules on first access (PEP 562). The ``ruma`` commands load:
 - ``filter-check``, ``--help``, ``--version`` and usage errors: ``ruma``,
   ``ruma.bsi`` and ``ruma.errors``, and neither numpy nor ``dataclasses``;
 - ``spray-sim``: those and ``ruma.spray``;
-- ``gen-trace`` and ``replay``: those, ``ruma.arena`` and ``ruma.trace``;
+- ``gen-trace``: those and ``ruma.trace``, and still not ``dataclasses``;
+- ``replay``: those, ``ruma.arena`` and ``ruma.trace``;
 - ``bench``: those, ``ruma.arena`` and ``ruma.membench``.
 
 numpy is imported inside the functions that draw numbers or build buffers

@@ -12,6 +12,9 @@ IDs are opaque tokens, unique among live allocations. Parsing validates
 referential integrity, so replay never sees a free or realloc of a dead
 id. Replay is sequential by definition; parsing is pure.
 
+An event is a tuple ``(kind, id, size, line)``; ``size`` is None for a
+free and ``line`` is the source line, or 0 for a generated event.
+
 The generator draws from one Philox stream. Sizes call numpy's
 ``lognormal``; each step's roll and each live-id pick are computed from
 the stream's raw 64-bit words, as numpy's ``random()`` and
@@ -23,13 +26,14 @@ from __future__ import annotations
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .arena import Arena, ArenaConfig, ReplayStats, _next_pow2
 from .errors import CapacityError, TraceError, check_seed
 
+if TYPE_CHECKING:
+    from .arena import Arena, ArenaConfig, ReplayStats
+
 __all__ = [
-    "TraceEvent",
     "generate_trace",
     "parse_trace",
     "replay",
@@ -42,14 +46,6 @@ _TOKEN_BY_KIND = {v: k for k, v in _KIND_BY_TOKEN.items()}
 # the generator's event mix while anything is live; frees take the rest
 _ALLOC_PROB = 0.55
 _REALLOC_PROB = 0.10
-
-
-@dataclass(slots=True)
-class TraceEvent:
-    kind: str  # "alloc" | "free" | "realloc"
-    id: str
-    size: int | None = None
-    line: int = field(default=0, compare=False)
 
 
 def _column(raw_line: str, tokens, index: int) -> int:
@@ -73,8 +69,8 @@ def parse_trace(source) -> list:
     """
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     events = []
-    live = set()
-    append, make = events.append, TraceEvent
+    live = {}  # id -> itself
+    append = events.append
     for lineno, raw in enumerate(lines, 1):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
@@ -112,28 +108,26 @@ def parse_trace(source) -> list:
                     line=lineno,
                     column=_column(raw, tokens, 1),
                 )
-            live.add(ident)
+            live[ident] = ident
         elif ident not in live:
             raise TraceError(
                 f"{kind} of unknown id {ident!r}",
                 line=lineno,
                 column=_column(raw, tokens, 1),
             )
-        elif kind == "free":
-            live.remove(ident)
-        append(make(kind, ident, size, lineno))
+        else:
+            # the alloc's own str: one object per id however often it recurs
+            ident = live.pop(ident) if kind == "free" else live[ident]
+        append((kind, ident, size, lineno))
     return events
 
 
 def serialize_trace(events) -> str:
     """Canonical text for an event list; inverse of :func:`parse_trace`."""
     out = []
-    for ev in events:
-        token = _TOKEN_BY_KIND[ev.kind]
-        if ev.kind == "free":
-            out.append(f"{token} {ev.id}")
-        else:
-            out.append(f"{token} {ev.id} {ev.size}")
+    for kind, ident, size, _ in events:
+        token = _TOKEN_BY_KIND[kind]
+        out.append(f"{token} {ident}" if kind == "free" else f"{token} {ident} {size}")
     return "\n".join(out) + ("\n" if out else "")
 
 
@@ -141,33 +135,34 @@ def replay_into(arena: Arena, events) -> ReplayStats:
     """Run the events through ``arena`` and return the final stats,
     extended with peak reserved bytes and the power-of-two histogram of
     requested sizes (alloc and realloc events both count)."""
+    from .arena import _next_pow2
+
     handles = {}
     sizes = []
     alloc, free, realloc = arena.alloc, arena.free, arena.realloc
     try:
-        for index, ev in enumerate(events):
-            kind = ev.kind
+        for index, (kind, ident, size, line) in enumerate(events):
             if kind == "alloc":
-                if ev.id in handles:
-                    raise TraceError(f"id {ev.id!r} is already live", line=ev.line)
-                handles[ev.id] = alloc(ev.size).id
-                sizes.append(ev.size)
+                if ident in handles:
+                    raise TraceError(f"id {ident!r} is already live", line=line)
+                handles[ident] = alloc(size).id
+                sizes.append(size)
             elif kind == "free":
-                handle = handles.pop(ev.id, None)
+                handle = handles.pop(ident, None)
                 if handle is None:
-                    raise TraceError(f"free of unknown id {ev.id!r}", line=ev.line)
+                    raise TraceError(f"free of unknown id {ident!r}", line=line)
                 free(handle)
             elif kind == "realloc":
-                handle = handles.get(ev.id)
+                handle = handles.get(ident)
                 if handle is None:
-                    raise TraceError(f"realloc of unknown id {ev.id!r}", line=ev.line)
-                handles[ev.id] = realloc(handle, ev.size).id
-                sizes.append(ev.size)
+                    raise TraceError(f"realloc of unknown id {ident!r}", line=line)
+                handles[ident] = realloc(handle, size).id
+                sizes.append(size)
             else:
-                raise TraceError(f"unknown event kind {ev.kind!r}", line=ev.line)
+                raise TraceError(f"unknown event kind {kind!r}", line=line)
     except CapacityError as exc:
         raise CapacityError(
-            f"replay aborted at event {index + 1} (line {ev.line}): {exc}"
+            f"replay aborted at event {index + 1} (line {line}): {exc}"
         ) from exc
     histogram = Counter()
     for size, count in Counter(sizes).items():
@@ -181,6 +176,8 @@ def replay_into(arena: Arena, events) -> ReplayStats:
 
 
 def replay(events, config: ArenaConfig) -> ReplayStats:
+    from .arena import Arena
+
     return replay_into(Arena(config), events)
 
 
@@ -270,13 +267,13 @@ def generate_trace(
             pick, spare = _pick(raw, len(live), spare)
             if word >= realloc_below:
                 live[pick], live[-1] = live[-1], live[pick]
-                append(TraceEvent("free", live.pop()))
+                append(("free", live.pop(), None, 0))
                 continue
             ident = live[pick]
             kind = "realloc"
         # clamped before rounding, so a draw that overflows to inf is max_size
         size = lognormal(mean, sigma)
-        append(TraceEvent(kind, ident, round(
+        append((kind, ident, round(
             min_size if size < min_size else max_size if size > max_size else size
-        )))
+        ), 0))
     return out
