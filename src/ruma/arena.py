@@ -13,8 +13,8 @@ the random offset applied and no border handling beyond that.
 A 32-bit arena with ``filter_bsi`` withholds any slot whose outgoing span
 would cover a byte-shift-independent address (see :mod:`ruma.bsi`). Spans
 of ``BSI_PERIOD`` bytes or more are exempt and never checked: every such
-span covers one, so no placement could pass the filter. A free-list slot
-with no BSI address anywhere in its reserve is handed out untested.
+span covers one, so no placement could pass the filter. Any candidate slot,
+freed or fresh, with no BSI address in its reserve is handed out untested.
 
 An arena manages a purely virtual address range and never touches real
 memory, which makes 32-bit address space experiments cheap inside a
@@ -309,8 +309,7 @@ class Arena:
         if cfg.arena_capacity + 2 * PAGE_SIZE > space:
             space = 1 << cfg.address_space_bits
         top = space - cfg.arena_capacity - PAGE_SIZE
-        pages = max(top // PAGE_SIZE, 1)
-        return PAGE_SIZE * (1 + int(self._rng.integers(0, pages)))
+        return PAGE_SIZE * (1 + int(self._rng.integers(0, top // PAGE_SIZE)))
 
     # -- class/placement machinery --------------------------------------
 
@@ -354,19 +353,21 @@ class Arena:
         self._free[key].extend(range(last, run, -cls.stride))
         return run
 
-    def _place(self, key: int, offset: int, size: int) -> int:
-        """Slot for a ``size``-byte chunk at ``offset``: a withheld slot the
-        filter now passes, else the last freed slot, else a fresh one."""
-        free = self._free[key]
-        if not self._filter or size >= BSI_PERIOD:
-            return free.pop() if free else self._carve(key)
+    def _place(self, key: int, offset: int, size: int, reserved: int) -> int:
+        """Filtered slot for a ``size``-byte chunk at ``offset``: a withheld
+        slot the filter now passes, else the last freed slot, else a fresh
+        one. ``offset + size <= reserved`` always holds, so a slot with no
+        BSI address in its first ``reserved`` bytes goes out untested."""
         quarantined = self._quarantine[key]
         for i, slot in enumerate(quarantined):
             if not self._filter_span(slot + offset, size):
                 return quarantined.pop(i)
+        free = self._free[key]
         while True:
             slot = free.pop() if free else self._carve(key)
-            if not self._filter_span(slot + offset, size):
+            if -slot % BSI_PERIOD >= reserved or not self._filter_span(
+                slot + offset, size
+            ):
                 return slot
             quarantined.append(slot)
             self.counters.bsi_quarantined += 1
@@ -411,16 +412,11 @@ class Arena:
         else:
             key = ci
             reserved = self._class_reserve[ci]
-        free = self._free[key]
-        # _place's first choice, inline: the free list's last slot, untested
-        # when no BSI address lies in its reserve, which holds every span the
-        # slot can serve
-        if free and (not self._filter or (
-            not self._quarantine[key] and -free[-1] % BSI_PERIOD >= reserved
-        )):
-            start = free.pop() + offset
+        if self._filter and size < BSI_PERIOD:
+            start = self._place(key, offset, size, reserved) + offset
         else:
-            start = self._place(key, offset, size) + offset
+            free = self._free[key]
+            start = (free.pop() if free else self._carve(key)) + offset
         counters = self.counters
         if align is not None:
             counters.aligned_allocs += 1

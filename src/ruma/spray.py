@@ -145,7 +145,7 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
     rng = np.random.Generator(np.random.Philox(seed))
     successes = 0
     remaining = trials
-    batch = max(1, min(trials, _BATCH_DRAWS // k))
+    batch = min(trials, _BATCH_DRAWS // k)
     while remaining:
         n = min(batch, remaining)
         # One row per stage, so the AND runs down k contiguous rows of n

@@ -47,6 +47,15 @@ def test_bad_configs_rejected(overrides):
         ArenaConfig(**overrides).validate()
 
 
+def test_capacity_beyond_user_space_draws_the_base_from_the_full_space():
+    # 2**47 bytes leave no page-aligned base below the 47-bit user space
+    capacity = 1 << 47
+    base = make_arena(arena_capacity=capacity)._base
+    assert base % PAGE_SIZE == 0
+    assert base >= 1 << 47
+    assert base + capacity <= (1 << 64) - PAGE_SIZE
+
+
 def test_config_file_round_trip(tmp_path):
     text = (
         "pointer_width = 4\n"
@@ -83,6 +92,11 @@ def test_config_file_round_trip(tmp_path):
 def test_config_file_errors(text):
     with pytest.raises(ConfigError):
         ArenaConfig.from_text(text)
+
+
+def test_config_file_names_a_bad_integer():
+    with pytest.raises(ConfigError, match="^line 1: bad integer 'x'$"):
+        ArenaConfig.from_text("pointer_width = x\n")
 
 
 def test_geometry_is_fixed_and_read_only():
@@ -394,7 +408,7 @@ def test_spans_border_matches_the_oracle():
 def test_border_rule_violations_are_counted(monkeypatch, size, at, violations, straddles):
     # force the chunk across the one border its size is guaranteed to avoid
     arena = make_arena(randomize=False, rng_seed=35)
-    monkeypatch.setattr(arena, "_place", lambda *_: arena._base + at)
+    monkeypatch.setattr(arena, "_carve", lambda *_: arena._base + at)
     arena.alloc(size)
     c = arena.counters
     assert (c.line_rule_violations, c.page_rule_violations) == violations
@@ -446,14 +460,12 @@ def test_stats_dict_shape(schemas):
 
 
 def test_filtered_arena_never_spans_bsi():
-    arena = make_arena(
-        address_space_bits=32,
-        filter_bsi=True,
-        arena_capacity=1 << 26,
-        rng_seed=31,
-    )
+    # the slot holding a BSI address is withheld first, so the random mix
+    # runs against a live quarantine
+    arena, addr = _arena_with_bsi_slot()
+    live = _withhold_bsi_slot(arena)
+    assert arena._quarantine[_CLASS_512] == [addr - (addr - arena._base) % 1024]
     rng = random.Random(31)
-    live = []
     for _ in range(4000):
         if rng.random() < 0.7 or not live:
             rec = arena.alloc(rng.randrange(1, 3000))
@@ -461,15 +473,16 @@ def test_filtered_arena_never_spans_bsi():
             live.append(rec.id)
         else:
             arena.free(live.pop(rng.randrange(len(live))))
-    assert arena.counters.bsi_span_checks > 0
 
 
-def _arena_with_bsi_slot(window=1 << 21, stride=1024, lo=448, hi=512):
+def _arena_with_bsi_slot(
+    window=1 << 21, stride=1024, lo=448, hi=512, *, filter_bsi=True
+):
     """Find a seed whose arena base parks a repeated-byte address early in
     the run area, at a slot-relative position inside [lo, hi)."""
     for seed in range(5000):
         arena = make_arena(
-            address_space_bits=32, filter_bsi=True,
+            address_space_bits=32, filter_bsi=filter_bsi,
             arena_capacity=1 << 25, rng_seed=seed,
         )
         i = bisect_left(oracles.BSI_TABLE, arena._base)
@@ -479,6 +492,17 @@ def _arena_with_bsi_slot(window=1 << 21, stride=1024, lo=448, hi=512):
         if addr < arena._base + window and lo <= (addr - arena._base) % stride < hi:
             return arena, addr
     raise AssertionError("no seed parked the arena over a usable BSI address")
+
+
+_CLASS_512 = arena_module._CLASS_OF[512]  # 1024-byte strides
+
+
+def _withhold_bsi_slot(arena):
+    """Allocate 512 bytes until the filter withholds a slot; return the ids."""
+    ids = []
+    while not arena.counters.bsi_quarantined:
+        ids.append(arena.alloc(512).id)
+    return ids
 
 
 def test_filter_quarantines_and_reuses_slots():
@@ -503,7 +527,7 @@ def test_filter_tests_a_slot_whose_reserve_ends_on_a_bsi_address():
     # 24-byte requests get 32-byte slots with an 8-byte pad: the address is
     # the last pad byte of one slot, which no chunk there covers, yet that
     # slot still goes to the counted span test, while slots with no address
-    # in their reserve leave the free list untested
+    # in their reserve go out untested, a freshly carved run's first included
     arena, addr = _arena_with_bsi_slot(stride=32, lo=31, hi=32)
     target = addr - 31
     for _ in range((addr - arena._base) // PAGE_SIZE):
@@ -513,10 +537,22 @@ def test_filter_tests_a_slot_whose_reserve_ends_on_a_bsi_address():
         checks = arena.counters.bsi_span_checks
         rec = arena.alloc(24)
         assert rec.start - rec.offset == slot
-        tested = slot == target or slot % PAGE_SIZE == 0
+        tested = slot == target
         assert arena.counters.bsi_span_checks - checks == tested, hex(slot)
     assert rec.start + rec.requested <= addr
     assert arena.counters.bsi_quarantined == 0
+
+
+def test_filter_tests_only_the_withheld_slot_once_it_is_withheld():
+    # the slots after the withheld one hold no BSI address in their reserve,
+    # freshly carved runs included, so each alloc tests just the rescan
+    arena, _ = _arena_with_bsi_slot()
+    _withhold_bsi_slot(arena)
+    for _ in range(8):  # carves two fresh runs of four slots
+        checks = arena.counters.bsi_span_checks
+        arena.alloc(512)
+        assert arena.counters.bsi_span_checks - checks == 1
+    assert arena.counters.bsi_quarantined == 1
 
 
 def test_filter_exempts_spans_of_a_full_bsi_period():

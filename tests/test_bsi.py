@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruma import Arena, ArenaConfig
 from ruma.bsi import (
     BSI_PERIOD,
     is_bsi_address,
@@ -15,6 +14,7 @@ from ruma.bsi import (
 )
 
 import oracles
+from test_arena import _arena_with_bsi_slot
 
 
 def test_all_bytes_equal_is_bsi():
@@ -52,6 +52,11 @@ def test_address_bounds_checked():
         is_bsi_address(1 << 32)
     with pytest.raises(ValueError):
         is_bsi_address(-1)
+
+
+def test_range_start_bounds_checked():
+    with pytest.raises(ValueError, match="^not a 32-bit address: 0x100000000$"):
+        range_contains_bsi(1 << 32, 1)
 
 
 def test_range_examples_by_brute_scan():
@@ -138,13 +143,17 @@ def test_slot_verdict_modes():
     # span covers a BSI address
     _check_span(0x97979790, 0x20, True)
     _check_span(0x97979790, 0x4, False)
-    # with the filter off the arena never tests a span
-    for filter_bsi, checked in ((True, True), (False, False)):
-        arena = Arena(
-            ArenaConfig(address_space_bits=32, filter_bsi=filter_bsi, rng_seed=5)
+    # the slot whose 512-byte span covers a BSI address is tested and
+    # withheld with the filter on, and handed out untested with it off
+    for filter_bsi in (True, False):
+        arena, addr = _arena_with_bsi_slot(filter_bsi=filter_bsi)
+        bsi_slot = addr - (addr - arena._base) % 1024
+        recs = [arena.alloc(512) for _ in range((addr - arena._base) // 1024 + 1)]
+        handed_out = bsi_slot in [r.start - r.offset for r in recs]
+        assert handed_out != filter_bsi
+        assert (arena.counters.bsi_span_checks, arena.counters.bsi_quarantined) == (
+            (1, 1) if filter_bsi else (0, 0)
         )
-        arena.alloc(0x20)
-        assert (arena.counters.bsi_span_checks > 0) == checked
 
 
 def test_slot_verdict_tests_the_outgoing_span_not_the_slot():

@@ -172,6 +172,26 @@ def test_handlers_call_the_layers_through_module_names(tmp_path, monkeypatch):
         assert calls == names
 
 
+@pytest.mark.parametrize("word, filter_bsi", [("on", True), ("off", False)])
+def test_replay_filter_flag_reaches_the_config(word, filter_bsi, tmp_path, monkeypatch):
+    # the flag overrides a config file that says the opposite
+    trace = tmp_path / "t.trace"
+    trace.write_text("a 1 8\n", encoding="utf-8")
+    config = tmp_path / "arena.cfg"
+    config.write_text(f"filter_bsi = {not filter_bsi}\n", encoding="utf-8")
+    configs = []
+    inner = cli.replay
+
+    def recording(events, config):
+        configs.append(config)
+        return inner(events, config)
+
+    monkeypatch.setattr(cli, "replay", recording)
+    argv = ["replay", "--trace", str(trace), "--config", str(config), "--filter-bsi", word]
+    assert dispatch(argv)[0] == 0
+    assert [c.filter_bsi for c in configs] == [filter_bsi]
+
+
 def test_wrappers_set_before_the_first_command_run_in_a_fresh_process(tmp_path):
     # perfbench wraps the layer names on ruma.cli before any command has
     # imported them; a handler must then call the wrapper, not rebind the name.
@@ -281,6 +301,17 @@ def test_negative_seed_from_the_environment_is_named(argv, monkeypatch, capsys):
         main()
     assert exc.value.code == 2
     assert capsys.readouterr().err == "ruma: error: seed must be non-negative, got -1\n"
+
+
+def test_non_integer_seed_in_the_environment_is_named(monkeypatch, capsys):
+    monkeypatch.setenv("RUMA_SEED", "abc")
+    monkeypatch.setattr("sys.argv", ["ruma", "gen-trace", "--events", "1"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "ruma: error: $RUMA_SEED is not an integer: 'abc'\n"
+    )
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])

@@ -82,6 +82,12 @@ def test_pattern_validation():
         SprayPattern(1, 3)
 
 
+def test_scenario_names_a_bad_pointer_width():
+    with pytest.raises(ValueError, match="^pointer_width must be 4 or 8, got 2$"):
+        AttackScenario(pointer_width=2, granularity=1, chain_length=1,
+                       pattern=SprayPattern(0, 4))
+
+
 def test_shift_outcome_enumeration_is_complete():
     shifts = list(scenario(width=8, g=1).shifts)
     assert shifts == list(range(8))

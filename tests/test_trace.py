@@ -304,6 +304,11 @@ def test_generator_respects_bounds():
         generate_trace(10, seed=-1)
 
 
+def test_generator_rejects_inverted_size_bounds():
+    with pytest.raises(ValueError, match="^bad size bounds$"):
+        generate_trace(1, 1, min_size=5, max_size=4)
+
+
 def test_generator_event_mix():
     events = generate_trace(20_000, seed=12)
     kinds = Counter(e[0] for e in events)
