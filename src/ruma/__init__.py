@@ -16,13 +16,15 @@ their submodules on first access (PEP 562). The ``ruma`` commands load:
 - ``filter-check``, ``--help``, ``--version`` and usage errors: ``ruma``,
   ``ruma.bsi`` and ``ruma.errors``, and neither numpy nor ``dataclasses``;
 - ``spray-sim``: those and ``ruma.spray``;
-- ``gen-trace``: those and ``ruma.trace``, and still not ``dataclasses``;
-- ``replay``: those, ``ruma.arena`` and ``ruma.trace``;
-- ``bench``: those, ``ruma.arena`` and ``ruma.membench``.
+- ``gen-trace``: those, ``ruma.philox`` and ``ruma.trace``, and still not
+  ``dataclasses``;
+- ``replay``: those, ``ruma.arena``, ``ruma.philox`` and ``ruma.trace``;
+- ``bench``: those, ``ruma.arena``, ``ruma.philox`` and ``ruma.membench``.
 
 numpy is imported inside the functions that draw numbers or build buffers
-(``Arena()``, ``generate_trace``, ``monte_carlo``, the ``membench`` timers),
-not at module top. On a 2-vCPU Xeon, ``ruma filter-check`` takes 92 ms
+(``generate_trace``, ``monte_carlo``, the ``membench`` timers), not at
+module top. ``Arena`` draws numpy's Philox stream from :mod:`ruma.philox`,
+computed in pure Python, so ``replay`` loads no numpy. On a 2-vCPU Xeon, ``ruma filter-check`` takes 92 ms
 without a bytecode cache and 71 ms with one, against 140 and 97 ms when
 every command loaded every module (medians of 25 alternating pairs).
 """

@@ -14,7 +14,15 @@ A 32-bit arena with ``filter_bsi`` withholds any slot whose outgoing span
 would cover a byte-shift-independent address (see :mod:`ruma.bsi`). Spans
 of ``BSI_PERIOD`` bytes or more are exempt and never checked: every such
 span covers one, so no placement could pass the filter. Any candidate slot,
-freed or fresh, with no BSI address in its reserve is handed out untested.
+freed or fresh, with no BSI address in its reserve is handed out untested,
+and a withheld slot is tested again only for a span that does not cover
+its BSI address.
+
+All randomness comes from one :class:`ruma.philox.Philox` stream: numpy's
+``Generator(Philox(rng_seed))`` stream, computed in pure Python, so an
+arena imports no numpy. The base is that stream's ``integers(0, n)``, and
+each offset the top ``log2(pointer_width)`` bits of its next 32-bit half,
+which is what ``integers(0, pointer_width)`` draws.
 
 An arena manages a purely virtual address range and never touches real
 memory, which makes 32-bit address space experiments cheap inside a
@@ -27,13 +35,13 @@ independent. Nothing here locks.
 
 from __future__ import annotations
 
-import functools
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .bsi import BSI_PERIOD, range_contains_bsi_counted
 from .errors import CapacityError, ConfigError, HandleError
+from .philox import Philox
 
 __all__ = [
     "Allocation",
@@ -50,7 +58,6 @@ LARGE_CLASS = -1  # size_class_index of chunks served outside the class pools
 CACHE_LINE = 64  # the one geometry the border rules and ruma.membench model
 PAGE_SIZE = 4096
 
-_OFFSET_BATCH = 8192
 _USER_SPACE_BITS = 47  # 64-bit base addresses are drawn below this, like user space
 
 
@@ -261,7 +268,9 @@ class Arena:
 
     Identical (config, seed, operation sequence) produce an identical
     address sequence; all randomness flows from one counter-based PRNG
-    stream seeded with ``config.rng_seed``.
+    stream seeded with ``config.rng_seed``, numpy's Philox stream for that
+    seed (:mod:`ruma.philox`): first the base, then one offset per
+    randomized allocation.
     """
 
     def __init__(self, config: ArenaConfig):
@@ -270,13 +279,8 @@ class Arena:
         self._table = build_class_table(config.pointer_width)
         self._pad = config.pointer_width if config.randomize else 0
         self._class_reserve = [c.max_size + self._pad for c in self._table]
-        import numpy as np  # loaded on first use, see the package docstring
-
-        self._rng = np.random.Generator(np.random.Philox(config.rng_seed))
-        self._draw_offsets = functools.partial(
-            self._rng.integers, 0, config.pointer_width, size=_OFFSET_BATCH,
-            dtype=np.int64,
-        )
+        self._rng = Philox(config.rng_seed)
+        self._offset_bits = config.pointer_width.bit_length() - 1
         # The base is drawn before any offset so that randomize on/off runs
         # of the same seed share the exact same slot layout.
         self._base = self._pick_base()
@@ -292,7 +296,7 @@ class Arena:
         self._live = {}
         self._next_id = 1
         # offsets are drawn in batches, when the last one is used up
-        self._offsets = []
+        self._offsets = b""
         self._offsets_used = 0
 
         self.counters = ArenaCounters()
@@ -309,7 +313,7 @@ class Arena:
         if cfg.arena_capacity + 2 * PAGE_SIZE > space:
             space = 1 << cfg.address_space_bits
         top = space - cfg.arena_capacity - PAGE_SIZE
-        return PAGE_SIZE * (1 + int(self._rng.integers(0, top // PAGE_SIZE)))
+        return PAGE_SIZE * (1 + self._rng.integers(top // PAGE_SIZE))
 
     # -- class/placement machinery --------------------------------------
 
@@ -357,9 +361,13 @@ class Arena:
         """Filtered slot for a ``size``-byte chunk at ``offset``: a withheld
         slot the filter now passes, else the last freed slot, else a fresh
         one. ``offset + size <= reserved`` always holds, so a slot with no
-        BSI address in its first ``reserved`` bytes goes out untested."""
+        BSI address in its first ``reserved`` bytes goes out untested, and a
+        withheld slot whose BSI address, ``-slot % BSI_PERIOD`` bytes in,
+        lies inside the span is passed over untested: the test would fail."""
         quarantined = self._quarantine[key]
         for i, slot in enumerate(quarantined):
+            if offset <= -slot % BSI_PERIOD < offset + size:
+                continue
             if not self._filter_span(slot + offset, size):
                 return quarantined.pop(i)
         free = self._free[key]
@@ -401,7 +409,7 @@ class Arena:
         elif cfg.randomize:
             used = self._offsets_used
             if used == len(self._offsets):
-                self._offsets = self._draw_offsets().tolist()
+                self._offsets = self._rng.tops(self._offset_bits)
                 used = 0
             offset = self._offsets[used]
             self._offsets_used = used + 1

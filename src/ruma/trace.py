@@ -16,9 +16,10 @@ An event is a tuple ``(kind, id, size, line)``; ``size`` is None for a
 free and ``line`` is the source line, or 0 for a generated event.
 
 The generator draws from one Philox stream. Sizes call numpy's
-``lognormal``; each step's roll and each live-id pick are computed from
-the stream's raw 64-bit words, as numpy's ``random()`` and
-``integers(0, n)`` compute them, so seeded traces match numpy's calls.
+``lognormal``; each step's roll and each live-id pick
+(:func:`ruma.philox.pick`) are computed from the stream's raw 64-bit
+words, as numpy's ``random()`` and ``integers(0, n)`` compute them, so
+seeded traces match numpy's calls.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from collections import Counter
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, TraceError, check_seed
+from .philox import pick as _pick
 
 if TYPE_CHECKING:
     from .arena import Arena, ArenaConfig, ReplayStats
@@ -179,30 +181,6 @@ def replay(events, config: ArenaConfig) -> ReplayStats:
     from .arena import Arena
 
     return replay_into(Arena(config), events)
-
-
-def _pick(raw, n: int, spare: int) -> tuple:
-    """``Generator.integers(0, n)`` for ``1 <= n <= 2**32``, computed from
-    ``raw()``, the Philox generator's raw 64-bit words.
-
-    Like numpy, it draws nothing for ``n == 1`` and otherwise maps 32-bit
-    halves to ``[0, n)`` by Lemire's multiply-and-reject. A word serves
-    its low half first and its high half is kept for the next half asked
-    for, as Philox's ``next_uint32`` buffer keeps it. ``spare`` is that
-    kept half, or -1 for none; returns the pick and the new ``spare``.
-    """
-    if n == 1:
-        return 0, spare
-    while True:
-        if spare < 0:
-            word = raw()
-            half, spare = word & 0xFFFFFFFF, word >> 32
-        else:
-            half, spare = spare, -1
-        m = half * n
-        # (2**32 - n) % n < n, so the modulo is needed only below n
-        if m & 0xFFFFFFFF >= n or m & 0xFFFFFFFF >= (0x100000000 - n) % n:
-            return m >> 32, spare
 
 
 def generate_trace(

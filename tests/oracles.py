@@ -94,3 +94,36 @@ def reference_trace(
             live[pick], live[-1] = live[-1], live[pick]
             out.append(("free", live.pop(), None))
     return out
+
+
+_M64 = (1 << 64) - 1
+
+
+def philox_block(key, counter: int) -> list:
+    """One Philox4x64-10 block for a 256-bit counter, word by word as
+    Random123's ``philox4x64_R`` computes it."""
+    x = [counter >> 64 * i & _M64 for i in range(4)]
+    k0, k1 = key
+    for _ in range(10):
+        p0 = x[0] * 0xD2E7470EE14C6C93
+        p1 = x[2] * 0xCA5A826395121157
+        x = [(p1 >> 64) ^ x[1] ^ k0, p1 & _M64, (p0 >> 64) ^ x[3] ^ k1, p0 & _M64]
+        k0 = (k0 + 0x9E3779B97F4A7C15) & _M64
+        k1 = (k1 + 0xBB67AE8584CAA73B) & _M64
+    return x
+
+
+def reference_arena_draws(config, count: int):
+    """An arena's base and its first ``count`` offsets, drawn with numpy's
+    public calls on ``Generator(Philox(rng_seed))``, and that generator."""
+    page = 4096
+    rng = np.random.Generator(np.random.Philox(config.rng_seed))
+    # below 2**47 when it fits there, like user space, else anywhere
+    space = 1 << min(config.address_space_bits, 47)
+    if config.arena_capacity + 2 * page > space:
+        space = 1 << config.address_space_bits
+    top = space - config.arena_capacity - page
+    base = page * (1 + int(rng.integers(0, top // page)))
+    state = rng.bit_generator.state
+    offsets = rng.integers(0, config.pointer_width, size=count).tolist()
+    return base, offsets, state

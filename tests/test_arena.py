@@ -545,14 +545,30 @@ def test_filter_tests_a_slot_whose_reserve_ends_on_a_bsi_address():
 
 def test_filter_tests_only_the_withheld_slot_once_it_is_withheld():
     # the slots after the withheld one hold no BSI address in their reserve,
-    # freshly carved runs included, so each alloc tests just the rescan
+    # freshly carved runs included, and every 512-byte span of the withheld
+    # slot covers its address, so no alloc tests anything
     arena, _ = _arena_with_bsi_slot()
     _withhold_bsi_slot(arena)
     for _ in range(8):  # carves two fresh runs of four slots
         checks = arena.counters.bsi_span_checks
         arena.alloc(512)
-        assert arena.counters.bsi_span_checks - checks == 1
+        assert arena.counters.bsi_span_checks - checks == 0
     assert arena.counters.bsi_quarantined == 1
+
+
+def test_filter_passes_over_a_withheld_slot_only_while_its_span_covers_the_address():
+    # randomize off puts every span at its slot's start; the base, drawn
+    # before any offset, is the randomized arena's
+    arena, addr = _arena_with_bsi_slot()
+    arena = Arena(dataclasses.replace(arena.config, randomize=False))
+    _withhold_bsi_slot(arena)
+    (slot,) = arena._quarantine[_CLASS_512]
+    reach = addr - slot  # a request this long stops just short of the address
+    checks = arena.counters.bsi_span_checks
+    assert arena.alloc(reach + 1).start != slot
+    assert arena.counters.bsi_span_checks == checks  # passed over untested
+    assert arena.alloc(reach).start == slot
+    assert arena.counters.bsi_span_checks == checks + 1
 
 
 def test_filter_exempts_spans_of_a_full_bsi_period():

@@ -520,7 +520,6 @@ def test_numpy_commands_run_in_a_fresh_process(tmp_path):
     # these commands must reach such an import from a cold start.
     runs = [
         ["gen-trace", "--events", "500", "--seed", "2", "--out", "t.trace"],
-        ["replay", "--trace", "t.trace", "--seed", "2"],
         ["spray-sim", "--pattern", "deadbeefcafebabe", "--trials", "100"],
         ["bench", "--iters", "1", "--scale", "0.0001"],
     ]
@@ -529,6 +528,32 @@ def test_numpy_commands_run_in_a_fresh_process(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)
         assert loaded
+
+
+def test_replay_and_the_arena_load_no_numpy(tmp_path):
+    # the arena draws from ruma.philox, numpy's Philox stream in pure Python
+    trace = "a 1 8\nr 1 5000\na 2 24\nf 1\n"
+    (tmp_path / "t.trace").write_text(trace, encoding="utf-8")
+    (tmp_path / "32.conf").write_text(
+        "address_space_bits = 32\npointer_width = 4\nfilter_bsi = on\n",
+        encoding="utf-8",
+    )
+    for config in ([], ["--config", "32.conf"]):
+        argv = ["replay", "--trace", "t.trace", "--seed", "2", *config]
+        proc, loaded = _run_cli_listing("numpy", *argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert sum(json.loads(proc.stdout)["offset_histogram"]) == 3
+        assert loaded == []
+    # enough offsets to refill the batch the base was drawn from
+    proc = run_python(
+        "-c",
+        "import sys\nfrom ruma import Arena, ArenaConfig\n"
+        "arena = Arena(ArenaConfig(rng_seed=2))\n"
+        "for _ in range(20000): arena.alloc(24)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- help text -----------------------------------------------------------------
