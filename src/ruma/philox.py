@@ -13,6 +13,14 @@ reproduces them:
 - ``integers(0, n)`` reduces a 32-bit half (``n <= 2**32``) or a whole
   word by Lemire's multiply-and-reject (ACM TOMACS 2019), as numpy does.
 
+For ``n = 2**bits`` (``bits <= 32``) Lemire never rejects: the product
+``half * n`` is never below its threshold ``(2**32 - n) % n = 0``, so
+``integers(0, n)`` is just the top ``bits`` bits of the next half, and
+for ``bits <= 8`` those of its top byte, byte 3 or 7 of its little-endian
+word. ``Philox.tops`` draws the arena's offsets by this identity, and
+``ruma.spray.monte_carlo`` reads its shift indices from numpy's raw
+Philox words by it.
+
 A Philox block computed word by word costs about 10 us in CPython on a
 2-vCPU Xeon, so blocks are made 1024 at a time, about 1 us each, as
 lane-packed ints: lane ``j`` of a packed int is bits ``128 * j`` up,
@@ -183,10 +191,8 @@ class Philox:
         ``1 <= bits <= 8``: as many as the kept half and the unread words
         hold, refilled first if none do.
 
-        For ``n = 2**bits`` these are exactly the draws of ``integers(0, n)``:
-        Lemire's product ``half * n`` never falls below its threshold
-        ``(2**32 - n) % n = 0``. The top bits of a half are those of its
-        top byte, byte 3 or 7 of its little-endian word.
+        For ``n = 2**bits`` these are exactly the draws of ``integers(0, n)``
+        (see the module docstring).
         """
         if self._pos == _BATCH_BYTES:
             self._refill()

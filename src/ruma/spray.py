@@ -11,12 +11,20 @@ filter exists for.
 
 Success probabilities are computed two independent ways: exact shift
 enumeration and seeded Monte Carlo sampling with a Wilson interval.
-Everything is pure given (scenario, seed). All draws come from one Philox
-stream in batch order, so splitting the batches across workers keeps the
-seeded output only if each worker reproduces its stretch of that single
-stream (for example by advancing a copy of it); per-worker seeds, even
-ones derived from the root seed, draw different shifts and change the
-result.
+Everything is pure given (scenario, seed).
+
+The sampler reads one Philox stream as numpy's
+``Generator(Philox(seed)).integers(0, states, size=(trials, k))`` would:
+chain after chain, stage after stage, each shift index the top
+``log2(states)`` bits of the next 32-bit half, a word's low half first
+(see :mod:`ruma.philox`). It takes the halves in batches of whole chains,
+about ``_BATCH_HALVES`` halves each, so the working set stays in cache; a
+batch that ends on a word's low half keeps the high half for the next
+batch, as numpy's ``next_uint32`` buffer does. Splitting the batches
+across workers keeps the seeded output only if each worker reproduces its
+stretch of that single stream (for example by advancing a copy of it);
+per-worker seeds, even ones derived from the root seed, draw different
+shifts and change the result.
 """
 
 from __future__ import annotations
@@ -40,9 +48,12 @@ __all__ = [
 # is one ulp lower (2.5758293035489), and the interval then changes in its
 # last bit.
 _Z = 2.5758293035489004
-# Shift draws monte_carlo holds in memory at once; a batch is as many
-# whole chains as fit, so one chain may not need more.
-_BATCH_DRAWS = 1_000_000
+# The longest chain a scenario may have. monte_carlo draws at least one
+# whole chain per batch, so this also bounds a batch's arrays.
+_MAX_CHAIN = 1_000_000
+# 32-bit halves monte_carlo draws per batch, as whole chains: 2**17 keeps
+# the raw words (512 KiB) and the byte arrays in cache.
+_BATCH_HALVES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -87,9 +98,9 @@ class AttackScenario:
                 f"granularity {self.granularity} must divide pointer width "
                 f"{self.pointer_width}"
             )
-        if not 1 <= self.chain_length <= _BATCH_DRAWS:
+        if not 1 <= self.chain_length <= _MAX_CHAIN:
             raise ValueError(
-                f"chain_length must be in [1, {_BATCH_DRAWS}], got {self.chain_length}"
+                f"chain_length must be in [1, {_MAX_CHAIN}], got {self.chain_length}"
             )
         if self.pattern.width != self.pointer_width:
             raise ValueError("pattern width must equal the scenario pointer width")
@@ -139,21 +150,35 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
     check_seed(seed)
     import numpy as np
 
-    matches = np.array(_match_table(scenario), dtype=bool)
-    states = len(matches)
+    matches = _match_table(scenario)
+    states = len(matches)  # 1, 2, 4 or 8
     k = scenario.chain_length
-    rng = np.random.Generator(np.random.Philox(seed))
-    successes = 0
-    remaining = trials
-    batch = min(trials, _BATCH_DRAWS // k)
-    while remaining:
-        n = min(batch, remaining)
-        # One row per stage, so the AND runs down k contiguous rows of n
-        # chains instead of starting a reduction per chain; the draws die
-        # here, before the next batch is drawn.
-        stages = matches[rng.integers(0, states, size=(n, k))].T
-        successes += int(np.count_nonzero(np.ascontiguousarray(stages).all(axis=0)))
-        remaining -= n
+    if states == 1:  # integers(0, 1) draws nothing
+        successes = trials if matches[0] else 0
+    else:
+        # bit s of mask says whether shift index s reads the value back
+        mask = np.uint8(sum(m << s for s, m in enumerate(matches)))
+        drop = np.uint8(8 - (states.bit_length() - 1))  # 8 - log2(states)
+        raw = np.random.Philox(seed).random_raw
+        kept = None  # top byte of a high half left over by the last batch
+        successes = 0
+        remaining = trials
+        chains = max(1, _BATCH_HALVES // k)
+        while remaining:
+            n = min(chains, remaining)
+            need = n * k
+            fresh = need - (kept is not None)
+            # each 32-bit half's top byte, a word's low half first
+            tops = raw((fresh + 1) // 2).astype("<u8", copy=False).view(np.uint8)[3::4]
+            if kept is not None:
+                tops = np.concatenate(([kept], tops))
+            kept = tops[need] if len(tops) > need else None
+            verdicts = (mask >> (tops[:need] >> drop)) & 1
+            # One row per stage, so the AND runs down k contiguous rows of
+            # n chains instead of starting a reduction per chain.
+            stages = np.ascontiguousarray(verdicts.reshape(n, k).T)
+            successes += int(np.count_nonzero(stages.all(axis=0)))
+            remaining -= n
     ci_low, ci_high = _wilson(successes, trials)
     return MonteCarloResult(
         estimate=successes / trials,

@@ -125,12 +125,15 @@ def parse_trace(source) -> list:
 
 
 def serialize_trace(events) -> str:
-    """Canonical text for an event list; inverse of :func:`parse_trace`."""
-    out = []
+    """Canonical text for an event list; inverse of :func:`parse_trace`.
+    The lines go into one buffer as they are made, so no list of a string
+    per event is held beside the text."""
+    out = io.StringIO()
+    write = out.write
     for kind, ident, size, _ in events:
         token = _TOKEN_BY_KIND[kind]
-        out.append(f"{token} {ident}" if kind == "free" else f"{token} {ident} {size}")
-    return "\n".join(out) + ("\n" if out else "")
+        write(f"{token} {ident}\n" if kind == "free" else f"{token} {ident} {size}\n")
+    return out.getvalue()
 
 
 def replay_into(arena: Arena, events) -> ReplayStats:

@@ -127,3 +127,15 @@ def reference_arena_draws(config, count: int):
     state = rng.bit_generator.state
     offsets = rng.integers(0, config.pointer_width, size=count).tolist()
     return base, offsets, state
+
+
+def reference_monte_carlo(scenario, trials: int, seed: int) -> int:
+    """Chains whose stages all read the pattern back, counted in Python
+    over one numpy draw of the whole ``(trials, k)`` shift-index stream.
+    A shift reads the value back when that window of the doubled pattern
+    bytes equals the pattern."""
+    data = scenario.pattern.data
+    table = [(data * 2)[s : s + len(data)] == data for s in scenario.shifts]
+    rng = np.random.Generator(np.random.Philox(seed))
+    draws = rng.integers(0, len(table), size=(trials, scenario.chain_length))
+    return sum(all(map(table.__getitem__, chain)) for chain in draws.tolist())

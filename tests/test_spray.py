@@ -1,9 +1,9 @@
 """Spray attack model: shift reads, exact probabilities, sampling, intervals."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,15 +231,6 @@ def test_monte_carlo_validates_trials():
         monte_carlo(scenario(), 10, seed=-1)
 
 
-def _oracle_successes(sc, trials, seed):
-    """Chains whose stages all read the pattern back, counted in Python
-    over one draw of the whole (trials, k) shift-index stream."""
-    table = [read_at_shift(sc.pattern, s) == sc.pattern.value for s in sc.shifts]
-    rng = np.random.Generator(np.random.Philox(seed))
-    draws = rng.integers(0, len(table), size=(trials, sc.chain_length))
-    return sum(all(map(table.__getitem__, chain)) for chain in draws.tolist())
-
-
 ORACLE_GRID = [
     (width, g, pattern)
     for width, patterns in ((4, (GENERIC32,)), (8, (GENERIC64, HALF64)))
@@ -253,10 +244,11 @@ ORACLE_GRID = [
 @pytest.mark.parametrize("width, g, pattern", ORACLE_GRID)
 def test_monte_carlo_counts_the_chains_of_one_stream(monkeypatch, width, g, pattern, k):
     # batches a few chains long, and a trial count that ends mid-batch
-    monkeypatch.setattr(spray_module, "_BATCH_DRAWS", 3000)
+    monkeypatch.setattr(spray_module, "_BATCH_HALVES", 3000)
     sc = scenario(width=width, g=g, k=k, pattern=pattern)
     trials = 2 * max(1, 3000 // k) + 1
-    assert monte_carlo(sc, trials, seed=k).successes == _oracle_successes(sc, trials, k)
+    expected = oracles.reference_monte_carlo(sc, trials, k)
+    assert monte_carlo(sc, trials, seed=k).successes == expected
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 1000])
@@ -264,7 +256,41 @@ def test_monte_carlo_counts_the_chains_across_full_batches(k):
     # the real batch size, ending one chain into a further batch
     sc = scenario(width=8, g=4, k=k)  # one stage in two reads the value back
     trials = 1_000_000 // k + 1
-    assert monte_carlo(sc, trials, seed=5).successes == _oracle_successes(sc, trials, 5)
+    expected = oracles.reference_monte_carlo(sc, trials, 5)
+    assert monte_carlo(sc, trials, seed=5).successes == expected
+
+
+@pytest.mark.parametrize("width, g, pattern", ORACLE_GRID)
+def test_monte_carlo_carries_the_kept_half_across_batches(monkeypatch, width, g, pattern):
+    # three chains of three stages a batch: 9 halves, so every other batch
+    # starts on the high half the batch before it kept
+    monkeypatch.setattr(spray_module, "_BATCH_HALVES", 9)
+    sc = scenario(width=width, g=g, k=3, pattern=pattern)
+    assert monte_carlo(sc, 40, seed=3).successes == oracles.reference_monte_carlo(sc, 40, 3)
+
+
+def test_monte_carlo_counts_chains_longer_than_a_batch():
+    # one chain a batch, one half longer than the real batch, so each
+    # batch ends on a kept half; a stage reads the value back at one
+    # shift in four or at all four
+    for pattern, expected in ((GENERIC64, 0), (HALF64, 5)):
+        sc = scenario(width=8, g=2, k=131_073, pattern=pattern)
+        result = monte_carlo(sc, 5, seed=13)
+        assert result.successes == oracles.reference_monte_carlo(sc, 5, 13) == expected
+
+
+def test_monte_carlo_memory_stays_in_cache_sized_batches():
+    # numpy reports its buffers to tracemalloc; the first call only warms
+    # up numpy.random's import, which is not the sampler's memory
+    sc = scenario(width=8, g=1, k=2)
+    monte_carlo(sc, 1, seed=1)
+    tracemalloc.start()
+    try:
+        monte_carlo(sc, 10**6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_monte_carlo_counts_million_stage_chains():
@@ -272,7 +298,7 @@ def test_monte_carlo_counts_million_stage_chains():
     for g, expected in ((4, 0), (8, 3)):
         sc = scenario(width=8, g=g, k=1_000_000)
         result = monte_carlo(sc, 3, seed=9)
-        assert result.successes == _oracle_successes(sc, 3, 9) == expected
+        assert result.successes == oracles.reference_monte_carlo(sc, 3, 9) == expected
 
 
 @pytest.mark.parametrize(
