@@ -6,9 +6,12 @@ addresses carry no predictable word alignment. Slot strides are powers of
 two sized to the class reserve, so they divide the cache line (small
 classes) or the page (medium classes): by construction no chunk whose
 reserve fits a cache line spans a line border, and no chunk whose reserve
-fits a page spans a page border. Requests too big for the class pools are
-carved page-aligned from a separate region at the top of the arena, with
-the random offset applied and no border handling beyond that.
+fits a page spans a page border. Class runs and larger requests share one
+pool of free page spans. A class run takes the lowest free page and stays
+bound to its class. A request too big for the class pools takes the top
+pages of the highest free span that fits it, with the random offset applied
+and no border handling beyond that; freeing it returns its pages to the
+pool, merged with their free neighbours.
 
 A 32-bit arena with ``filter_bsi`` withholds any slot whose outgoing span
 would cover a byte-shift-independent address (see :mod:`ruma.bsi`). Spans
@@ -35,6 +38,7 @@ independent. Nothing here locks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -186,8 +190,8 @@ _CLASS_OF = [
 
 
 def _large_key(size: int, pointer_width: int) -> int:
-    """Bin of a large chunk: minus its page count. The pad is always
-    counted, so that randomize on and off keep identical geometry."""
+    """Quarantine bin of a large chunk: minus its page count. The pad is
+    always counted, so that randomize on and off keep identical geometry."""
     return -((size + pointer_width - 1) // PAGE_SIZE + 1)
 
 
@@ -222,9 +226,7 @@ class Allocation:
 class ArenaCounters:
     """Cumulative event counters, kept since arena creation."""
 
-    total_allocs: int = 0
-    total_frees: int = 0
-    total_reallocs: int = 0
+    total_allocs: int = 0  # also the id of the last allocation
     aligned_allocs: int = 0
     promotions: int = 0
     # spans actually passed to the BSI range test
@@ -285,16 +287,15 @@ class Arena:
         # of the same seed share the exact same slot layout.
         self._base = self._pick_base()
         usable = (config.arena_capacity // PAGE_SIZE) * PAGE_SIZE
-        self._end = self._base + usable
-        self._run_bump = self._base  # class runs grow upward
-        self._large_bump = self._end  # large carving grows downward
-        # Free and withheld (BSI-quarantined) slots per bin. A bin key is the
-        # class index for class slots and _large_key for large spans.
-        self._free = defaultdict(list)
+        # free pages, as sorted spans [_starts[i], _ends[i]) that never touch
+        self._starts = [self._base] if usable else []
+        self._ends = [self._base + usable] if usable else []
+        self._free = [[] for _ in self._table]  # free slots per class
+        # Withheld (BSI-quarantined) slots per bin: the class index for class
+        # slots, _large_key for large spans.
         self._quarantine = defaultdict(list)
         self._filter = config.filter_bsi and config.address_space_bits == 32
         self._live = {}
-        self._next_id = 1
         # offsets are drawn in batches, when the last one is used up
         self._offsets = b""
         self._offsets_used = 0
@@ -337,40 +338,48 @@ class Arena:
         return hit
 
     def _carve(self, key: int) -> int:
-        """Fresh slot for bin ``key``: a new page run for a class, whose
-        other slots go to the free list, or a new large span."""
+        """Fresh slot for bin ``key`` from the free pages: for a large span,
+        the top ``-key`` pages of the highest free span that fits them; for
+        a class, a run on the lowest free page, whose other slots go to the
+        class's free list."""
+        starts, ends = self._starts, self._ends
         if key < 0:
-            span = -key * PAGE_SIZE
-            if self._large_bump - span < self._run_bump:
-                raise CapacityError(f"arena exhausted carving {-key} pages")
-            self._large_bump -= span
-            return self._large_bump
+            for i in range(len(ends) - 1, -1, -1):
+                top = ends[i] + key * PAGE_SIZE
+                if top > starts[i]:
+                    ends[i] = top
+                    return top
+                if top == starts[i]:
+                    del starts[i], ends[i]
+                    return top
+            raise CapacityError(f"arena exhausted carving {-key} pages")
         cls = self._table[key]
-        if self._run_bump + PAGE_SIZE > self._large_bump:
-            raise CapacityError(
-                f"arena exhausted carving a run for class {cls.max_size}"
-            )
-        run = self._run_bump
-        self._run_bump += PAGE_SIZE
+        if not starts:
+            raise CapacityError(f"arena exhausted carving a run for class {cls.max_size}")
+        run = starts[0]
+        if run + PAGE_SIZE < ends[0]:
+            starts[0] = run + PAGE_SIZE
+        else:
+            del starts[0], ends[0]
         self._class_capacity[key] += cls.slots_per_run
         last = run + (cls.slots_per_run - 1) * cls.stride
         self._free[key].extend(range(last, run, -cls.stride))
         return run
 
-    def _place(self, key: int, offset: int, size: int, reserved: int) -> int:
+    def _place(self, key: int, free, offset: int, size: int, reserved: int) -> int:
         """Filtered slot for a ``size``-byte chunk at ``offset``: a withheld
-        slot the filter now passes, else the last freed slot, else a fresh
-        one. ``offset + size <= reserved`` always holds, so a slot with no
-        BSI address in its first ``reserved`` bytes goes out untested, and a
-        withheld slot whose BSI address, ``-slot % BSI_PERIOD`` bytes in,
-        lies inside the span is passed over untested: the test would fail."""
+        slot the filter now passes, else the last slot freed to ``free``,
+        else a fresh one. ``offset + size <= reserved`` always holds, so a
+        slot with no BSI address in its first ``reserved`` bytes goes out
+        untested, and a withheld slot whose BSI address, ``-slot % BSI_PERIOD``
+        bytes in, lies inside the span is passed over untested: the test
+        would fail."""
         quarantined = self._quarantine[key]
         for i, slot in enumerate(quarantined):
             if offset <= -slot % BSI_PERIOD < offset + size:
                 continue
             if not self._filter_span(slot + offset, size):
                 return quarantined.pop(i)
-        free = self._free[key]
         while True:
             slot = free.pop() if free else self._carve(key)
             if -slot % BSI_PERIOD >= reserved or not self._filter_span(
@@ -417,13 +426,14 @@ class Arena:
         if ci == LARGE_CLASS:
             key = _large_key(size, cfg.pointer_width)
             reserved = size + self._pad
+            free = ()  # freed large spans go back to the free pages
         else:
             key = ci
             reserved = self._class_reserve[ci]
+            free = self._free[ci]
         if self._filter and size < BSI_PERIOD:
-            start = self._place(key, offset, size, reserved) + offset
+            start = self._place(key, free, offset, size, reserved) + offset
         else:
-            free = self._free[key]
             start = (free.pop() if free else self._carve(key)) + offset
         counters = self.counters
         if align is not None:
@@ -431,11 +441,10 @@ class Arena:
             if ci != natural:
                 counters.promotions += 1
 
-        rec = Allocation(self._next_id, start, size, reserved, offset, ci)
-        self._next_id += 1
+        counters.total_allocs += 1
+        rec = Allocation(counters.total_allocs, start, size, reserved, offset, ci)
         self._live[rec.id] = rec
 
-        counters.total_allocs += 1
         self._reserved_bytes += reserved
         if self._reserved_bytes > self._peak_reserved:
             self._peak_reserved = self._reserved_bytes
@@ -453,12 +462,23 @@ class Arena:
         rec = self._live.pop(alloc_id, None)
         if rec is None:
             raise HandleError(f"unknown or already freed allocation id {alloc_id}")
-        self.counters.total_frees += 1
         self._reserved_bytes -= rec.reserved
-        key = rec.size_class_index
-        if key == LARGE_CLASS:
-            key = _large_key(rec.requested, self._cfg.pointer_width)
-        self._free[key].append(rec.start - rec.offset)
+        slot = rec.start - rec.offset
+        if rec.size_class_index != LARGE_CLASS:
+            self._free[rec.size_class_index].append(slot)
+            return
+        # give the pages back, merged with the free spans they touch
+        end = slot - _large_key(rec.requested, self._cfg.pointer_width) * PAGE_SIZE
+        starts, ends = self._starts, self._ends
+        i = bisect_left(starts, slot)
+        if i < len(starts) and starts[i] == end:  # joins the span above
+            del starts[i]
+            end = ends.pop(i)
+        if i and ends[i - 1] == slot:  # joins the span below
+            ends[i - 1] = end
+        else:
+            starts.insert(i, slot)
+            ends.insert(i, end)
 
     def realloc(self, alloc_id: int, new_size: int) -> Allocation:
         """Move ``alloc_id`` to a fresh placement of ``new_size`` bytes.
@@ -471,7 +491,6 @@ class Arena:
             raise HandleError(f"unknown or already freed allocation id {alloc_id}")
         new = self.alloc(new_size)
         self.free(alloc_id)
-        self.counters.total_reallocs += 1
         return new
 
     # -- inspection -------------------------------------------------------

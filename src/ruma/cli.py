@@ -186,7 +186,7 @@ def _cmd_replay(args) -> tuple[int, str]:
         overrides["filter_bsi"] = args.filter_bsi == "on"
     config = dataclasses.replace(config, **overrides)
     with open(args.trace, "r", encoding="utf-8") as handle:
-        events = parse_trace(handle.read())
+        events = parse_trace(handle)
     stats = replay(events, config)
     return 0, _dump(stats.as_dict())
 

@@ -334,11 +334,6 @@ def test_capacity_exhaustion_is_not_a_config_error():
             arena.alloc(4096 * 4)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=CapacityError,
-    reason="freed pages never return to a shared pool (ROADMAP open item 2)",
-)
 def test_freed_pages_serve_other_classes():
     arena = make_arena(arena_capacity=1 << 20, rng_seed=1)
     try:
@@ -348,6 +343,29 @@ def test_freed_pages_serve_other_classes():
     for alloc_id in ids:
         arena.free(alloc_id)
     assert arena.alloc(24).requested == 24
+
+
+def test_a_growing_chunk_reuses_its_freed_pages():
+    # the shape of a perl run: one buffer realloc'd a page larger at a time,
+    # with a small chunk beside it each step; unless each freed span merges
+    # with its neighbours, 4 MiB runs out before the buffer reaches 257 pages
+    arena = make_arena(arena_capacity=1 << 22, rng_seed=1)
+    rec = arena.alloc(PAGE_SIZE - 8)
+    for pages in range(2, 258):
+        arena.alloc(48)
+        rec = arena.realloc(rec.id, pages * PAGE_SIZE - 8)
+    assert arena.stats().reserved_bytes == 257 * PAGE_SIZE + 256 * 56 == 1_067_008
+
+
+@pytest.mark.parametrize("capacity", [1, PAGE_SIZE // 2, PAGE_SIZE - 1])
+def test_an_arena_under_one_page_refuses_every_carve(capacity):
+    arena = make_arena(arena_capacity=capacity, rng_seed=1)
+    for size in (0, 24, 2048, 3000, 2 * PAGE_SIZE):
+        with pytest.raises(CapacityError):
+            arena.alloc(size)
+    with pytest.raises(CapacityError):
+        arena.alloc(8, align=PAGE_SIZE)
+    assert arena.live_allocations() == []
 
 
 # -- randomized operation property ------------------------------------------

@@ -4,6 +4,11 @@ checked after every step against a dict of what the live set must be.
 The model derives each chunk's class and reserve from the class table and
 the request alone, and counts the aligned allocs that succeeded.
 Capacities are small, so ``CapacityError`` paths run too.
+
+Class runs and large spans share the arena's free pages. A class run takes
+the lowest free page, so the runs fill the lowest pages from the base, the
+layout that keeps seeded output fixed, until a large span takes the page
+just above them; the model checks that layout until then.
 """
 
 from collections import Counter
@@ -19,7 +24,7 @@ from hypothesis.stateful import (
 )
 
 from ruma import Arena, ArenaConfig, CapacityError
-from ruma.arena import LARGE_CLASS
+from ruma.arena import LARGE_CLASS, PAGE_SIZE
 from ruma.bsi import BSI_PERIOD
 
 import oracles
@@ -29,8 +34,8 @@ SIZES = st.one_of(
 )
 ALIGNS = st.integers(0, 12).map(lambda k: 1 << k)  # 1 .. the 4096-byte page
 # 32-bit arenas of 64 KiB whose range covers a BSI address: in the first
-# page (1517, 2000), where class runs are carved, or in the last (1075,
-# 2850), where large spans are.
+# page (1517, 2000), where the first class run is carved, or in the last
+# (1075, 2850), where the first large span is.
 BSI_SEEDS = (1075, 1517, 2000, 2850)
 
 
@@ -42,6 +47,7 @@ class ArenaModel(RuleBasedStateMachine):
         self.pad = config.pointer_width if config.randomize else 0
         self.model = {}  # id -> (requested, class index)
         self.aligned = self.promoted = self.peak = 0
+        self.runs_at_base = True  # cleared once a large span holds the next page
 
     # -- the model's own placement decisions ---------------------------------
 
@@ -56,6 +62,24 @@ class ArenaModel(RuleBasedStateMachine):
 
     def _total_reserved(self) -> int:
         return sum(self._reserved(n, ci) for n, ci in self.model.values())
+
+    def _run_pages(self) -> int:
+        per_class = self.arena.stats().per_class
+        return sum(
+            c["capacity"] // cls.slots_per_run for c, cls in zip(per_class, self.table)
+        )
+
+    def _large_spans(self):
+        """[start, end) of every large span out of the free pages: the live
+        ones and the withheld ones."""
+        pw = self.cfg.pointer_width
+        for a in self.arena.live_allocations():
+            if a.size_class_index == LARGE_CLASS:
+                slot = a.start - a.offset
+                yield slot, slot + ((a.requested + pw - 1) // PAGE_SIZE + 1) * PAGE_SIZE
+        for key, slots in self.arena._quarantine.items():
+            if key < 0:
+                yield from ((slot, slot - key * PAGE_SIZE) for slot in slots)
 
     def _record(self, rec, align) -> None:
         ci = self._class_for(rec.requested, align)
@@ -154,6 +178,19 @@ class ArenaModel(RuleBasedStateMachine):
         assert stats.promotions == self.promoted
 
     @invariant()
+    def class_runs_fill_the_lowest_pages(self):
+        base = self.arena._base
+        top = base + self._run_pages() * PAGE_SIZE
+        if self.runs_at_base:
+            for a in self.arena.live_allocations():
+                if a.size_class_index != LARGE_CLASS:
+                    assert base <= a.start < top, f"class chunk {a.start:#x} off the runs"
+        usable = self.cfg.arena_capacity // PAGE_SIZE * PAGE_SIZE
+        self.runs_at_base = self.runs_at_base and top < base + usable and not any(
+            start <= top < end for start, end in self._large_spans()
+        )
+
+    @invariant()
     def filtered_spans_miss_bsi(self):
         if not (self.cfg.filter_bsi and self.cfg.address_space_bits == 32):
             return
@@ -168,6 +205,20 @@ class DefaultArenaModel(ArenaModel):
         self.start(
             ArenaConfig(arena_capacity=1 << 17, rng_seed=seed, randomize=randomize)
         )
+
+    @precondition(lambda self: self.runs_at_base)
+    @rule()
+    def freed_large_spans_merge(self):
+        # freed, the large spans rejoin the pages above the runs as one span
+        for alloc_id, (_, ci) in list(self.model.items()):
+            if ci == LARGE_CLASS:
+                self.arena.free(alloc_id)
+                del self.model[alloc_id]
+        pages = self.cfg.arena_capacity // PAGE_SIZE - self._run_pages()
+        if pages:
+            rec = self.arena.alloc(pages * PAGE_SIZE - self.cfg.pointer_width)
+            self.peak = max(self.peak, self._total_reserved() + rec.reserved)
+            self._record(rec, None)
 
 
 class FilteredArenaModel(ArenaModel):

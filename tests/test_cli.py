@@ -291,6 +291,20 @@ def test_out_of_domain_values_exit_2_without_traceback(argv, monkeypatch, capsys
         assert err == "ruma: error: seed must be non-negative, got -1\n"
 
 
+def test_replay_of_a_trace_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys):
+    # the bad byte lies past the file's first buffered read, so the parse
+    # meets it midway, still before any event is replayed
+    trace = tmp_path / "bad.trace"
+    trace.write_bytes(b"alloc 1 24\nfree 1\n" * 1000 + b"alloc 2 \xff\n")
+    monkeypatch.setattr(cli, "replay", lambda *_: pytest.fail("replay ran"))
+    monkeypatch.setattr("sys.argv", ["ruma", "replay", "--trace", str(trace)])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("ruma: error:") and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize(
     "argv", ["gen-trace --events 5", "spray-sim --pattern ff --trials 1"]
 )
