@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import os
 import sys
@@ -171,6 +172,21 @@ def _dump(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+# Characters of trace text parsed per batch: enough that the per-call cost
+# vanishes, few enough that a batch's events are a small share of a replay.
+_TRACE_BATCH = 1 << 16
+
+
+def _parsed_batches(handle):
+    """The trace file's events, one ``parse_trace`` list per batch of
+    lines; the live ids and the line count carry from batch to batch."""
+    live = {}
+    first_line = 1
+    while lines := handle.readlines(_TRACE_BATCH):
+        yield parse_trace(lines, live, first_line)
+        first_line += len(lines)
+
+
 def _cmd_replay(args) -> tuple[int, str]:
     import dataclasses
 
@@ -185,9 +201,10 @@ def _cmd_replay(args) -> tuple[int, str]:
     if args.filter_bsi is not None:
         overrides["filter_bsi"] = args.filter_bsi == "on"
     config = dataclasses.replace(config, **overrides)
+    # each batch is parsed when replay reaches it, so a capacity abort at
+    # an earlier event is reported before a malformed line in a later batch
     with open(args.trace, "r", encoding="utf-8") as handle:
-        events = parse_trace(handle)
-    stats = replay(events, config)
+        stats = replay(itertools.chain.from_iterable(_parsed_batches(handle)), config)
     return 0, _dump(stats.as_dict())
 
 

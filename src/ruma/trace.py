@@ -10,7 +10,11 @@ comment, tokens separated by whitespace:
 SIZE is one or more ASCII digits.
 IDs are opaque tokens, unique among live allocations. Parsing validates
 referential integrity, so replay never sees a free or realloc of a dead
-id. Replay is sequential by definition; parsing is pure.
+id. Replay is sequential by definition. Parsing holds no state of its
+own: a caller that parses a trace in batches passes the live-id dict and
+the first line number from one batch to the next, so ``ruma replay``
+feeds each batch's events to the arena as it parses, and the file's
+event list never exists in full.
 
 An event is a tuple ``(kind, id, size, line)``; ``size`` is None for a
 free and ``line`` is the source line, or 0 for a generated event.
@@ -60,7 +64,7 @@ def _column(raw_line: str, tokens, index: int) -> int:
     return pos + 1
 
 
-def parse_trace(source) -> list:
+def parse_trace(source, live=None, first_line: int = 1) -> list:
     r"""Parse a trace from a string or an iterable of lines.
 
     A string is read as a text-mode file reads it: lines end at ``\n``,
@@ -68,12 +72,19 @@ def parse_trace(source) -> list:
     on malformed input, duplicate live ids, or references to ids that are
     not live. A line that breaks several rules reports the first of: event
     token, token count, size, liveness.
+
+    To parse a trace one batch of lines at a time, pass every batch the
+    same ``live`` dict, which maps each live id to itself and is updated
+    in place, and the number of its first line as ``first_line``. The
+    batches then yield the events, errors and line numbers that parsing
+    the whole trace at once would.
     """
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     events = []
-    live = {}  # id -> itself
+    if live is None:
+        live = {}
     append = events.append
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(lines, first_line):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
             continue
@@ -143,7 +154,10 @@ def replay_into(arena: Arena, events) -> ReplayStats:
     from .arena import _next_pow2
 
     handles = {}
-    sizes = []
+    # requests per size, counted as they come; a Counter's ``+=`` costs
+    # twice as much per event as a plain dict's ``get``
+    sizes = {}
+    seen = sizes.get
     alloc, free, realloc = arena.alloc, arena.free, arena.realloc
     try:
         for index, (kind, ident, size, line) in enumerate(events):
@@ -151,7 +165,7 @@ def replay_into(arena: Arena, events) -> ReplayStats:
                 if ident in handles:
                     raise TraceError(f"id {ident!r} is already live", line=line)
                 handles[ident] = alloc(size).id
-                sizes.append(size)
+                sizes[size] = seen(size, 0) + 1
             elif kind == "free":
                 handle = handles.pop(ident, None)
                 if handle is None:
@@ -162,7 +176,7 @@ def replay_into(arena: Arena, events) -> ReplayStats:
                 if handle is None:
                     raise TraceError(f"realloc of unknown id {ident!r}", line=line)
                 handles[ident] = realloc(handle, size).id
-                sizes.append(size)
+                sizes[size] = seen(size, 0) + 1
             else:
                 raise TraceError(f"unknown event kind {kind!r}", line=line)
     except CapacityError as exc:
@@ -170,7 +184,7 @@ def replay_into(arena: Arena, events) -> ReplayStats:
             f"replay aborted at event {index + 1} (line {line}): {exc}"
         ) from exc
     histogram = Counter()
-    for size, count in Counter(sizes).items():
+    for size, count in sizes.items():
         histogram[_next_pow2(size)] += count
     stats = arena.stats()
     stats.peak_reserved = arena.peak_reserved

@@ -5,15 +5,18 @@ import gc
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import ruma
+import ruma.trace as trace_mod
 from conftest import child_env, run_cli, run_python
-from ruma import cli, membench
+from ruma import ArenaConfig, cli, membench
 from ruma.cli import build_parser, dispatch, main
+from ruma.errors import TraceError
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,7 +162,8 @@ def test_handlers_call_the_layers_through_module_names(tmp_path, monkeypatch):
     expected = {
         ("gen-trace", "--events", "100", "--out", trace):
             ["generate_trace", "serialize_trace"],
-        ("replay", "--trace", trace): ["parse_trace", "replay"],
+        # replay parses the file batch by batch as it consumes the events
+        ("replay", "--trace", trace): ["replay", "parse_trace"],
         ("spray-sim", "--pattern", "ff", "--trials", "10"):
             ["monte_carlo", "chained_success"],
     }
@@ -219,7 +223,7 @@ for command in sys.argv[1:]:
 """
     expected = {
         "gen-trace --events 100 --out t.trace": "generate_trace serialize_trace",
-        "replay --trace t.trace": "ArenaConfig parse_trace replay",
+        "replay --trace t.trace": "ArenaConfig replay parse_trace",
         "spray-sim --pattern ff --trials 10":
             "SprayPattern AttackScenario monte_carlo chained_success",
         "bench --iters 1 --scale 0.0001": "full_report",
@@ -292,17 +296,109 @@ def test_out_of_domain_values_exit_2_without_traceback(argv, monkeypatch, capsys
 
 
 def test_replay_of_a_trace_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys):
-    # the bad byte lies past the file's first buffered read, so the parse
-    # meets it midway, still before any event is replayed
+    # the bad byte lies past the first batch of lines, so replay is under
+    # way when the file's decoder meets it
     trace = tmp_path / "bad.trace"
-    trace.write_bytes(b"alloc 1 24\nfree 1\n" * 1000 + b"alloc 2 \xff\n")
-    monkeypatch.setattr(cli, "replay", lambda *_: pytest.fail("replay ran"))
+    trace.write_bytes(b"a 1 24\nf 1\n" * 10_000 + b"a 2 \xff\n")
+    assert len(trace.read_bytes()) > cli._TRACE_BATCH
     monkeypatch.setattr("sys.argv", ["ruma", "replay", "--trace", str(trace)])
     with pytest.raises(SystemExit) as exc:
         main()
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert err.startswith("ruma: error:") and "Traceback" not in err, err
+    assert err.startswith("ruma: error: 'utf-8' codec can't decode byte 0xff"), err
+    assert "Traceback" not in err
+
+
+def _long_trace(tmp_path, tail: str, head: str = ""):
+    """``head``, 20,000 allocs making several batches of text, ``tail``."""
+    text = head + "".join(f"a {i} 8\n" for i in range(1, 20_001)) + tail
+    assert len(text) > 2 * cli._TRACE_BATCH
+    path = tmp_path / "long.trace"
+    path.write_text(text, encoding="utf-8")
+    return path, text
+
+
+def test_replay_frees_across_batches_and_parses_every_event_once(tmp_path, monkeypatch):
+    # ids allocated in the first batch are freed and resized in the last;
+    # perfbench divides the event count by cli.parse_trace's summed time,
+    # so every event must come through that name
+    path, text = _long_trace(tmp_path, "f 5\nr 6 16\nf 6\nr 20000 64\n")
+    batches = []
+    inner = cli.parse_trace
+
+    def recording(*args):
+        events = inner(*args)
+        batches.append(len(events))
+        return events
+
+    monkeypatch.setattr(cli, "parse_trace", recording)
+    code, out = dispatch(["replay", "--trace", str(path), "--seed", "1"])
+    assert code == 0
+    assert len(batches) > 2 and sum(batches) == 20_004
+    expected = trace_mod.replay(trace_mod.parse_trace(text), ArenaConfig(rng_seed=1))
+    assert out == cli._dump(expected.as_dict())
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        ("f 5\na 7 8\n", "line 20002, column 3: id '7' is already live"),
+        ("f 5\nf 5\n", "line 20002, column 3: free of unknown id '5'"),
+        ("f 5\na 9\n", "line 20002: alloc expects 3 tokens, got 2"),
+        ("f 5\n\n# note\nr 8 x\n", "line 20004, column 5: bad size 'x'"),
+    ],
+    ids=["duplicate", "dead-id", "token-count", "bad-size"],
+)
+def test_replay_reports_a_late_error_as_the_whole_parse_does(tmp_path, tail, message):
+    path, text = _long_trace(tmp_path, tail)
+    with pytest.raises(TraceError) as whole:
+        trace_mod.parse_trace(text)
+    with pytest.raises(TraceError) as streamed:
+        dispatch(["replay", "--trace", str(path)])
+    assert str(streamed.value) == str(whole.value) == message
+
+
+def test_a_capacity_abort_wins_over_a_malformed_later_line(tmp_path, monkeypatch, capsys):
+    # replay parses each batch when it reaches it: the first event exhausts
+    # the arena before the malformed last line is read
+    path, _ = _long_trace(tmp_path, "not an event\n", head="a big 2000000\n")
+    config = tmp_path / "small.cfg"
+    config.write_text("arena_capacity = 1048576\n", encoding="utf-8")
+    monkeypatch.setattr(
+        "sys.argv", ["ruma", "replay", "--trace", str(path), "--config", str(config)]
+    )
+    with pytest.raises(SystemExit) as exc:
+        main()
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("ruma: error: replay aborted at event 1 (line 1): "), err
+
+
+def test_replay_holds_less_than_the_parsed_event_list(tmp_path):
+    # the events are replayed batch by batch, so the whole replay, arena
+    # included, peaks below the list that parsing the file at once builds
+    path = tmp_path / "t.trace"
+    argv = ["gen-trace", "--events", "50000", "--seed", "1", "--out", str(path)]
+    assert dispatch(argv)[0] == 0
+    import ruma.arena  # noqa: F401  its import is not the replay's
+
+    def peak(run) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def parse_alone():
+        with open(path, "r", encoding="utf-8") as handle:
+            trace_mod.parse_trace(handle)
+
+    list_peak = peak(parse_alone)
+    replay_peak = peak(lambda: dispatch(["replay", "--trace", str(path), "--seed", "1"]))
+    assert replay_peak < list_peak
 
 
 @pytest.mark.parametrize(

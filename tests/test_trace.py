@@ -133,6 +133,8 @@ def test_str_file_and_replay_read_the_same_lines(text, tmp_path, monkeypatch):
     real_replay = cli.replay
 
     def recording_replay(events, config):
+        # the CLI hands replay a one-shot iterable that parses as it goes
+        events = list(events)
         replayed.append(events)
         return real_replay(events, config)
 
@@ -154,6 +156,18 @@ def test_str_file_and_replay_read_the_same_lines(text, tmp_path, monkeypatch):
         from_file = outcome(lambda: parse_trace(handle))
     assert outcome(lambda: parse_trace(text)) == from_file
     assert outcome(via_replay) == from_file
+
+
+def test_parse_in_batches_matches_the_whole_trace():
+    # the live ids and the line count carry over, so a batch boundary
+    # anywhere, even between an alloc and its free, changes nothing
+    text = "# head\n" + serialize_trace(generate_trace(300, seed=5))
+    lines = text.splitlines(keepends=True)
+    expected = parse_trace(text)
+    for cut in (1, 2, 77, 150, len(lines) - 1, len(lines)):
+        live = {}
+        first = parse_trace(lines[:cut], live)
+        assert first + parse_trace(lines[cut:], live, cut + 1) == expected
 
 
 def test_id_reusable_after_free():
