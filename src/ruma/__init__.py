@@ -15,17 +15,20 @@ their submodules on first access (PEP 562). The ``ruma`` commands load:
 
 - ``filter-check``, ``--help``, ``--version`` and usage errors: ``ruma``,
   ``ruma.bsi`` and ``ruma.errors``, and neither numpy nor ``dataclasses``;
-- ``spray-sim``: those and ``ruma.spray``;
+- ``spray-sim``: those, ``ruma.philox`` and ``ruma.spray``;
 - ``gen-trace``: those, ``ruma.philox`` and ``ruma.trace``, and still not
   ``dataclasses``;
 - ``replay``: those, ``ruma.arena``, ``ruma.philox`` and ``ruma.trace``;
 - ``bench``: those, ``ruma.arena``, ``ruma.philox`` and ``ruma.membench``.
 
 numpy is imported inside the functions that draw numbers or build buffers
-(``generate_trace``, ``monte_carlo``, the ``membench`` timers), not at
-module top. ``Arena`` draws numpy's Philox stream from :mod:`ruma.philox`,
-computed in pure Python, so ``replay`` loads no numpy. On a 2-vCPU Xeon, ``ruma filter-check`` takes 92 ms
-without a bytecode cache and 71 ms with one, against 140 and 97 ms when
+(``generate_trace``, ``monte_carlo`` above 2**20 shift draws, the
+``membench`` timers), not at module top. ``Arena`` draws numpy's Philox
+stream from :mod:`ruma.philox`, computed in pure Python, so ``replay``
+loads no numpy; ``monte_carlo`` draws a shorter run from it too, so
+``spray-sim`` at its default 100000 trials of up to 10 stages loads none
+either. On a 2-vCPU Xeon, ``ruma filter-check`` takes 92 ms without a
+bytecode cache and 71 ms with one, against 140 and 97 ms when
 every command loaded every module (medians of 25 alternating pairs).
 """
 

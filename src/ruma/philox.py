@@ -18,8 +18,8 @@ For ``n = 2**bits`` (``bits <= 32``) Lemire never rejects: the product
 ``integers(0, n)`` is just the top ``bits`` bits of the next half, and
 for ``bits <= 8`` those of its top byte, byte 3 or 7 of its little-endian
 word. ``Philox.tops`` draws the arena's offsets by this identity, and
-``ruma.spray.monte_carlo`` reads its shift indices from numpy's raw
-Philox words by it.
+``ruma.spray.monte_carlo`` its shift indices, from ``Philox.tops`` for a
+short run and from numpy's raw Philox words for a long one.
 
 A Philox block computed word by word costs about 10 us in CPython on a
 2-vCPU Xeon, so blocks are made 1024 at a time, about 1 us each, as
@@ -56,6 +56,8 @@ _LOW = _ONES * _MASK64  # the low 64 bits of every lane
 _IOTA = int.from_bytes(
     b"".join(j.to_bytes(_LANE_BYTES, "little") for j in range(_LANES)), "little"
 )
+# _TOPS[bits] maps a byte to its top ``bits`` bits, for bytes.translate
+_TOPS = tuple(bytes(b >> (8 - bits) for b in range(256)) for bits in range(9))
 
 
 def _hashmix(value: int, const: int, mult: int) -> tuple:
@@ -198,7 +200,7 @@ class Philox:
             self._refill()
         words = self._buf[self._pos :]
         self._pos = _BATCH_BYTES
-        top = bytes(b >> (8 - bits) for b in range(256))
+        top = _TOPS[bits]
         out = bytearray(len(words) // 4)
         out[0::2] = words[3::8].translate(top)
         out[1::2] = words[7::8].translate(top)

@@ -20,11 +20,20 @@ chain after chain, stage after stage, each shift index the top
 (see :mod:`ruma.philox`). It takes the halves in batches of whole chains,
 about ``_BATCH_HALVES`` halves each, so the working set stays in cache; a
 batch that ends on a word's low half keeps the high half for the next
-batch, as numpy's ``next_uint32`` buffer does. Splitting the batches
-across workers keeps the seeded output only if each worker reproduces its
-stretch of that single stream (for example by advancing a copy of it);
-per-worker seeds, even ones derived from the root seed, draw different
-shifts and change the result.
+batch, as numpy's ``next_uint32`` buffer does.
+
+The stream has two sources that read the same halves in the same order,
+so a seeded result does not depend on which one runs. A run of at most
+``_PYTHON_HALVES`` halves (``trials * chain_length``) draws them from
+:class:`ruma.philox.Philox` in pure Python and never imports numpy; a
+longer one takes numpy's raw Philox words. numpy's import costs about
+0.15 s, and ruma.philox makes 2**20 halves in about 0.1 s, so 2**20 is
+the measured crossover: at 2**21 halves the two were even.
+
+Splitting the batches across workers keeps the seeded output only if
+each worker reproduces its stretch of that single stream (for example by
+advancing a copy of it); per-worker seeds, even ones derived from the
+root seed, draw different shifts and change the result.
 """
 
 from __future__ import annotations
@@ -54,6 +63,10 @@ _MAX_CHAIN = 1_000_000
 # 32-bit halves monte_carlo draws per batch, as whole chains: 2**17 keeps
 # the raw words (512 KiB) and the byte arrays in cache.
 _BATCH_HALVES = 1 << 17
+# The most halves (trials * chain_length) monte_carlo draws from
+# ruma.philox; a longer run pays numpy's import for its faster words.
+# 2**20 is the measured crossover, not a setting.
+_PYTHON_HALVES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -148,37 +161,14 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
     if trials < 1:
         raise ValueError("trials must be at least 1")
     check_seed(seed)
-    import numpy as np
-
     matches = _match_table(scenario)
-    states = len(matches)  # 1, 2, 4 or 8
     k = scenario.chain_length
-    if states == 1:  # integers(0, 1) draws nothing
+    if len(matches) == 1:  # integers(0, 1) draws nothing
         successes = trials if matches[0] else 0
+    elif trials * k <= _PYTHON_HALVES:
+        successes = _python_successes(matches, k, trials, seed)
     else:
-        # bit s of mask says whether shift index s reads the value back
-        mask = np.uint8(sum(m << s for s, m in enumerate(matches)))
-        drop = np.uint8(8 - (states.bit_length() - 1))  # 8 - log2(states)
-        raw = np.random.Philox(seed).random_raw
-        kept = None  # top byte of a high half left over by the last batch
-        successes = 0
-        remaining = trials
-        chains = max(1, _BATCH_HALVES // k)
-        while remaining:
-            n = min(chains, remaining)
-            need = n * k
-            fresh = need - (kept is not None)
-            # each 32-bit half's top byte, a word's low half first
-            tops = raw((fresh + 1) // 2).astype("<u8", copy=False).view(np.uint8)[3::4]
-            if kept is not None:
-                tops = np.concatenate(([kept], tops))
-            kept = tops[need] if len(tops) > need else None
-            verdicts = (mask >> (tops[:need] >> drop)) & 1
-            # One row per stage, so the AND runs down k contiguous rows of
-            # n chains instead of starting a reduction per chain.
-            stages = np.ascontiguousarray(verdicts.reshape(n, k).T)
-            successes += int(np.count_nonzero(stages.all(axis=0)))
-            remaining -= n
+        successes = _numpy_successes(matches, k, trials, seed)
     ci_low, ci_high = _wilson(successes, trials)
     return MonteCarloResult(
         estimate=successes / trials,
@@ -187,6 +177,69 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
         trials=trials,
         successes=successes,
     )
+
+
+def _python_successes(matches: list, k: int, trials: int, seed: int) -> int:
+    """The chains of ``trials`` whose ``k`` stages all read the value back,
+    drawn from :mod:`ruma.philox`: the halves and batches of
+    ``_numpy_successes``, computed without numpy."""
+    from .philox import Philox
+
+    bits = len(matches).bit_length() - 1  # log2(states)
+    draw = Philox(seed).tops
+    verdict = bytes(matches).ljust(256, b"\0")  # shift index -> 1 if it reads back
+    pool = bytearray()  # verdicts of drawn halves no batch has taken yet
+    successes = 0
+    remaining = trials
+    chains = max(1, _BATCH_HALVES // k)
+    while remaining:
+        n = min(chains, remaining)
+        need = n * k
+        while len(pool) < need:
+            pool += draw(bits).translate(verdict)
+        verdicts = pool[:need]
+        del pool[:need]
+        if k <= n:
+            # one int per stage, a byte per chain, ANDed down the k stages
+            alive = int.from_bytes(verdicts[::k], "little")
+            for s in range(1, k):
+                alive &= int.from_bytes(verdicts[s::k], "little")
+            successes += alive.bit_count()
+        else:  # fewer chains than stages: look for a failed stage in each
+            successes += sum(verdicts.find(0, i, i + k) < 0 for i in range(0, need, k))
+        remaining -= n
+    return successes
+
+
+def _numpy_successes(matches: list, k: int, trials: int, seed: int) -> int:
+    """The chains of ``trials`` whose ``k`` stages all read the value back,
+    from numpy's raw Philox words."""
+    import numpy as np
+
+    # bit s of mask says whether shift index s reads the value back
+    mask = np.uint8(sum(m << s for s, m in enumerate(matches)))
+    drop = np.uint8(8 - (len(matches).bit_length() - 1))  # 8 - log2(states)
+    raw = np.random.Philox(seed).random_raw
+    kept = None  # top byte of a high half left over by the last batch
+    successes = 0
+    remaining = trials
+    chains = max(1, _BATCH_HALVES // k)
+    while remaining:
+        n = min(chains, remaining)
+        need = n * k
+        fresh = need - (kept is not None)
+        # each 32-bit half's top byte, a word's low half first
+        tops = raw((fresh + 1) // 2).astype("<u8", copy=False).view(np.uint8)[3::4]
+        if kept is not None:
+            tops = np.concatenate(([kept], tops))
+        kept = tops[need] if len(tops) > need else None
+        verdicts = (mask >> (tops[:need] >> drop)) & 1
+        # One row per stage, so the AND runs down k contiguous rows of
+        # n chains instead of starting a reduction per chain.
+        stages = np.ascontiguousarray(verdicts.reshape(n, k).T)
+        successes += int(np.count_nonzero(stages.all(axis=0)))
+        remaining -= n
+    return successes
 
 
 def _wilson(k: int, n: int) -> tuple[float, float]:

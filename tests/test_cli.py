@@ -15,6 +15,7 @@ import ruma
 import ruma.trace as trace_mod
 from conftest import child_env, run_cli, run_python
 from ruma import ArenaConfig, cli, membench
+from ruma import spray as spray_module
 from ruma.cli import build_parser, dispatch, main
 from ruma.errors import TraceError
 
@@ -34,6 +35,22 @@ def test_spray_sim_exact_output(schemas):
     jsonschema.validate(payload, schemas["spray_sim"])
     assert payload["exact"] == 0.125
     assert payload["ci_low"] <= payload["estimate"] <= payload["ci_high"]
+
+
+@pytest.mark.parametrize("argv", [
+    "spray-sim --chain 2 --pattern deadbeefcafebabe --trials 1000 --seed 1",
+    "spray-sim --width 4 --granularity 1 --chain 3 --pattern 35343534 "
+    "--trials 100000 --seed 18446744073709551615",
+])
+def test_spray_sim_prints_the_same_from_either_source(monkeypatch, argv):
+    # ruma.philox below the threshold and numpy's raw words above it read
+    # the same halves, so the report cannot tell them apart
+    outputs = []
+    for limit in (1 << 30, 0):
+        monkeypatch.setattr(spray_module, "_PYTHON_HALVES", limit)
+        outputs.append(dispatch(argv.split()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 def test_spray_sim_32bit(schemas):
@@ -630,7 +647,9 @@ def test_numpy_commands_run_in_a_fresh_process(tmp_path):
     # these commands must reach such an import from a cold start.
     runs = [
         ["gen-trace", "--events", "500", "--seed", "2", "--out", "t.trace"],
-        ["spray-sim", "--pattern", "deadbeefcafebabe", "--trials", "100"],
+        # one half more than ruma.spray draws without numpy
+        ["spray-sim", "--chain", "1", "--pattern", "deadbeefcafebabe",
+         "--trials", "1048577"],
         ["bench", "--iters", "1", "--scale", "0.0001"],
     ]
     for argv in runs:
@@ -638,6 +657,17 @@ def test_numpy_commands_run_in_a_fresh_process(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)
         assert loaded
+
+
+def test_spray_sim_below_the_threshold_loads_no_numpy():
+    # up to ruma.spray._PYTHON_HALVES halves come from ruma.philox; the
+    # second run is the default 100000 trials
+    for trials, flags in ((100, ["--trials", "100"]), (100_000, [])):
+        argv = ["spray-sim", "--pattern", "deadbeefcafebabe", *flags]
+        proc, loaded = _run_cli_listing("numpy", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["trials"] == trials
+        assert loaded == []
 
 
 def test_replay_and_the_arena_load_no_numpy(tmp_path):

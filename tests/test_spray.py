@@ -231,6 +231,23 @@ def test_monte_carlo_validates_trials():
         monte_carlo(scenario(), 10, seed=-1)
 
 
+@pytest.fixture
+def both_sources(monkeypatch):
+    """``run(sc, trials, seed)`` samples once from each source of the one
+    stream, ruma.philox (``_PYTHON_HALVES`` at the run's halves) and
+    numpy's raw words (``_PYTHON_HALVES`` at 0), and returns both
+    successes."""
+
+    def run(sc, trials, seed):
+        got = []
+        for limit in (trials * sc.chain_length, 0):
+            monkeypatch.setattr(spray_module, "_PYTHON_HALVES", limit)
+            got.append(monte_carlo(sc, trials, seed).successes)
+        return got
+
+    return run
+
+
 ORACLE_GRID = [
     (width, g, pattern)
     for width, patterns in ((4, (GENERIC32,)), (8, (GENERIC64, HALF64)))
@@ -242,63 +259,87 @@ ORACLE_GRID = [
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 1000])
 @pytest.mark.parametrize("width, g, pattern", ORACLE_GRID)
-def test_monte_carlo_counts_the_chains_of_one_stream(monkeypatch, width, g, pattern, k):
+def test_monte_carlo_counts_the_chains_of_one_stream(
+    monkeypatch, both_sources, width, g, pattern, k
+):
     # batches a few chains long, and a trial count that ends mid-batch
     monkeypatch.setattr(spray_module, "_BATCH_HALVES", 3000)
     sc = scenario(width=width, g=g, k=k, pattern=pattern)
     trials = 2 * max(1, 3000 // k) + 1
     expected = oracles.reference_monte_carlo(sc, trials, k)
-    assert monte_carlo(sc, trials, seed=k).successes == expected
+    assert both_sources(sc, trials, k) == [expected] * 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 1000])
-def test_monte_carlo_counts_the_chains_across_full_batches(k):
+def test_monte_carlo_counts_the_chains_across_full_batches(both_sources, k):
     # the real batch size, ending one chain into a further batch
     sc = scenario(width=8, g=4, k=k)  # one stage in two reads the value back
     trials = 1_000_000 // k + 1
     expected = oracles.reference_monte_carlo(sc, trials, 5)
-    assert monte_carlo(sc, trials, seed=5).successes == expected
+    assert both_sources(sc, trials, 5) == [expected] * 2
 
 
 @pytest.mark.parametrize("width, g, pattern", ORACLE_GRID)
-def test_monte_carlo_carries_the_kept_half_across_batches(monkeypatch, width, g, pattern):
+def test_monte_carlo_carries_the_kept_half_across_batches(
+    monkeypatch, both_sources, width, g, pattern
+):
     # three chains of three stages a batch: 9 halves, so every other batch
     # starts on the high half the batch before it kept
     monkeypatch.setattr(spray_module, "_BATCH_HALVES", 9)
     sc = scenario(width=width, g=g, k=3, pattern=pattern)
-    assert monte_carlo(sc, 40, seed=3).successes == oracles.reference_monte_carlo(sc, 40, 3)
+    assert both_sources(sc, 40, 3) == [oracles.reference_monte_carlo(sc, 40, 3)] * 2
 
 
-def test_monte_carlo_counts_chains_longer_than_a_batch():
+def test_monte_carlo_counts_chains_longer_than_a_batch(both_sources):
     # one chain a batch, one half longer than the real batch, so each
     # batch ends on a kept half; a stage reads the value back at one
     # shift in four or at all four
     for pattern, expected in ((GENERIC64, 0), (HALF64, 5)):
         sc = scenario(width=8, g=2, k=131_073, pattern=pattern)
-        result = monte_carlo(sc, 5, seed=13)
-        assert result.successes == oracles.reference_monte_carlo(sc, 5, 13) == expected
+        assert oracles.reference_monte_carlo(sc, 5, 13) == expected
+        assert both_sources(sc, 5, 13) == [expected] * 2
 
 
-def test_monte_carlo_memory_stays_in_cache_sized_batches():
-    # numpy reports its buffers to tracemalloc; the first call only warms
-    # up numpy.random's import, which is not the sampler's memory
+def test_monte_carlo_memory_stays_in_cache_sized_batches(monkeypatch):
+    # numpy reports its buffers to tracemalloc; the first call of each
+    # source, ruma.philox and then numpy's raw words, only warms up that
+    # source's imports, which are not the sampler's memory
     sc = scenario(width=8, g=1, k=2)
-    monte_carlo(sc, 1, seed=1)
-    tracemalloc.start()
-    try:
-        monte_carlo(sc, 10**6, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    for limit in (2 * 10**6, 0):
+        monkeypatch.setattr(spray_module, "_PYTHON_HALVES", limit)
+        monte_carlo(sc, 1, seed=1)
+        tracemalloc.start()
+        try:
+            monte_carlo(sc, 10**6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, limit
 
 
-def test_monte_carlo_counts_million_stage_chains():
+def test_monte_carlo_counts_million_stage_chains(both_sources):
     # a million stages: one chain per batch
     for g, expected in ((4, 0), (8, 3)):
         sc = scenario(width=8, g=g, k=1_000_000)
-        result = monte_carlo(sc, 3, seed=9)
-        assert result.successes == oracles.reference_monte_carlo(sc, 3, 9) == expected
+        assert oracles.reference_monte_carlo(sc, 3, 9) == expected
+        assert both_sources(sc, 3, 9) == [expected] * 2
+
+
+@pytest.mark.parametrize(
+    "extra, source", [(0, "_python_successes"), (1, "_numpy_successes")]
+)
+def test_monte_carlo_draws_from_philox_up_to_the_threshold(monkeypatch, extra, source):
+    # exactly _PYTHON_HALVES halves come from ruma.philox, one more from numpy
+    calls = []
+    sampler = getattr(spray_module, source)
+    monkeypatch.setattr(
+        spray_module, source, lambda *args: calls.append(args) or sampler(*args)
+    )
+    sc = scenario(width=8, g=1, k=1)
+    trials = spray_module._PYTHON_HALVES + extra
+    expected = oracles.reference_monte_carlo(sc, trials, 4)
+    assert monte_carlo(sc, trials, seed=4).successes == expected
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -311,8 +352,8 @@ def test_monte_carlo_counts_million_stage_chains():
         (scenario(width=8, g=1, k=7, pattern=HALF64), 1_000_003, 3, 7862),
     ],
 )
-def test_monte_carlo_successes_are_pinned(sc, trials, seed, successes):
-    assert monte_carlo(sc, trials, seed).successes == successes
+def test_monte_carlo_successes_are_pinned(both_sources, sc, trials, seed, successes):
+    assert both_sources(sc, trials, seed) == [successes] * 2
 
 
 # -- Wilson interval ----------------------------------------------------------
