@@ -25,7 +25,8 @@ All randomness comes from one :class:`ruma.philox.Philox` stream: numpy's
 ``Generator(Philox(rng_seed))`` stream, computed in pure Python, so an
 arena imports no numpy. The base is that stream's ``integers(0, n)``, and
 each offset the top ``log2(pointer_width)`` bits of its next 32-bit half,
-which is what ``integers(0, pointer_width)`` draws.
+which is what ``integers(0, pointer_width)`` draws, read off the half's
+top byte by one 256-byte table.
 
 An arena manages a purely virtual address range and never touches real
 memory, which makes 32-bit address space experiments cheap inside a
@@ -41,6 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 from .bsi import BSI_PERIOD, range_contains_bsi_counted
@@ -282,10 +284,13 @@ class Arena:
         self._pad = config.pointer_width if config.randomize else 0
         self._class_reserve = [c.max_size + self._pad for c in self._table]
         self._rng = Philox(config.rng_seed)
-        self._offset_bits = config.pointer_width.bit_length() - 1
         # The base is drawn before any offset so that randomize on/off runs
         # of the same seed share the exact same slot layout.
         self._base = self._pick_base()
+        # top byte -> offset; nothing is drawn until an offset is asked for
+        table = bytes(b >> (9 - config.pointer_width.bit_length()) for b in range(256))
+        batches = (batch.translate(table) for batch in self._rng.tops())
+        self._next_offset = chain.from_iterable(batches).__next__
         usable = (config.arena_capacity // PAGE_SIZE) * PAGE_SIZE
         # free pages, as sorted spans [_starts[i], _ends[i]) that never touch
         self._starts = [self._base] if usable else []
@@ -296,9 +301,6 @@ class Arena:
         self._quarantine = defaultdict(list)
         self._filter = config.filter_bsi and config.address_space_bits == 32
         self._live = {}
-        # offsets are drawn in batches, when the last one is used up
-        self._offsets = b""
-        self._offsets_used = 0
 
         self.counters = ArenaCounters()
         self._reserved_bytes = 0  # running, for the peak
@@ -416,12 +418,7 @@ class Arena:
                 while self._table[ci].stride % align:
                     ci += 1
         elif cfg.randomize:
-            used = self._offsets_used
-            if used == len(self._offsets):
-                self._offsets = self._rng.tops(self._offset_bits)
-                used = 0
-            offset = self._offsets[used]
-            self._offsets_used = used + 1
+            offset = self._next_offset()
 
         if ci == LARGE_CLASS:
             key = _large_key(size, cfg.pointer_width)

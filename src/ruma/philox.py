@@ -17,9 +17,9 @@ For ``n = 2**bits`` (``bits <= 32``) Lemire never rejects: the product
 ``half * n`` is never below its threshold ``(2**32 - n) % n = 0``, so
 ``integers(0, n)`` is just the top ``bits`` bits of the next half, and
 for ``bits <= 8`` those of its top byte, byte 3 or 7 of its little-endian
-word. ``Philox.tops`` draws the arena's offsets by this identity, and
-``ruma.spray.monte_carlo`` its shift indices, from ``Philox.tops`` for a
-short run and from numpy's raw Philox words for a long one.
+word. ``Philox.tops`` yields every half's top byte; the arena maps them
+to offsets, and ``ruma.spray.monte_carlo`` to verdicts for a short run,
+each through its own 256-entry table.
 
 A Philox block computed word by word costs about 10 us in CPython on a
 2-vCPU Xeon, so blocks are made 1024 at a time, about 1 us each, as
@@ -56,8 +56,6 @@ _LOW = _ONES * _MASK64  # the low 64 bits of every lane
 _IOTA = int.from_bytes(
     b"".join(j.to_bytes(_LANE_BYTES, "little") for j in range(_LANES)), "little"
 )
-# _TOPS[bits] maps a byte to its top ``bits`` bits, for bytes.translate
-_TOPS = tuple(bytes(b >> (8 - bits) for b in range(256)) for bits in range(9))
 
 
 def _hashmix(value: int, const: int, mult: int) -> tuple:
@@ -154,7 +152,7 @@ def pick(raw, n: int, spare: int) -> tuple:
 
 class Philox:
     """The stream of ``numpy.random.Generator(numpy.random.Philox(seed))``
-    for the draws the arena makes: ``integers(0, n)`` and the top bits of
+    for the draws the arena makes: ``integers(0, n)`` and the top bytes of
     32-bit halves. Words are made ``_LANES`` blocks at a time."""
 
     def __init__(self, seed: int):
@@ -188,23 +186,18 @@ class Philox:
             if m & _MASK64 >= n or m & _MASK64 >= ((1 << 64) - n) % n:
                 return m >> 64
 
-    def tops(self, bits: int) -> bytearray:
-        """The next draws of ``next_uint32() >> (32 - bits)`` for
-        ``1 <= bits <= 8``: as many as the kept half and the unread words
-        hold, refilled first if none do.
-
-        For ``n = 2**bits`` these are exactly the draws of ``integers(0, n)``
-        (see the module docstring).
-        """
-        if self._pos == _BATCH_BYTES:
-            self._refill()
-        words = self._buf[self._pos :]
-        self._pos = _BATCH_BYTES
-        top = _TOPS[bits]
-        out = bytearray(len(words) // 4)
-        out[0::2] = words[3::8].translate(top)
-        out[1::2] = words[7::8].translate(top)
-        if self._spare >= 0:
-            out.insert(0, self._spare >> (32 - bits))
-            self._spare = -1
-        return out
+    def tops(self):
+        """Endless: the top byte of every next 32-bit half (``next_uint32()
+        >> 24``), the kept half first, as one ``bytes`` per batch of words,
+        taken from the stream as it is yielded. ``b >> (8 - bits)`` of each
+        byte is the next draw of ``integers(0, 2**bits)``, ``bits <= 8``."""
+        while True:
+            if self._pos == _BATCH_BYTES:
+                self._refill()
+            # a half is 4 little-endian bytes, so its top byte is the 4th
+            batch = self._buf[self._pos + 3 :: 4]
+            self._pos = _BATCH_BYTES
+            if self._spare >= 0:
+                batch = bytes((self._spare >> 24,)) + batch
+                self._spare = -1
+            yield batch

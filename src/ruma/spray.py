@@ -17,7 +17,8 @@ The sampler reads one Philox stream as numpy's
 ``Generator(Philox(seed)).integers(0, states, size=(trials, k))`` would:
 chain after chain, stage after stage, each shift index the top
 ``log2(states)`` bits of the next 32-bit half, a word's low half first
-(see :mod:`ruma.philox`). It takes the halves in batches of whole chains,
+(see :mod:`ruma.philox`), so a half's top byte alone decides whether its
+stage reads the value back. It takes the halves in batches of whole chains,
 about ``_BATCH_HALVES`` halves each, so the working set stays in cache; a
 batch that ends on a word's low half keeps the high half for the next
 batch, as numpy's ``next_uint32`` buffer does.
@@ -185,9 +186,9 @@ def _python_successes(matches: list, k: int, trials: int, seed: int) -> int:
     ``_numpy_successes``, computed without numpy."""
     from .philox import Philox
 
-    bits = len(matches).bit_length() - 1  # log2(states)
-    draw = Philox(seed).tops
-    verdict = bytes(matches).ljust(256, b"\0")  # shift index -> 1 if it reads back
+    # a half's top byte -> 1 if its shift index (top log2(states) bits) reads back
+    verdict = bytes(matches[b * len(matches) >> 8] for b in range(256))
+    batches = Philox(seed).tops()
     pool = bytearray()  # verdicts of drawn halves no batch has taken yet
     successes = 0
     remaining = trials
@@ -196,7 +197,7 @@ def _python_successes(matches: list, k: int, trials: int, seed: int) -> int:
         n = min(chains, remaining)
         need = n * k
         while len(pool) < need:
-            pool += draw(bits).translate(verdict)
+            pool += next(batches).translate(verdict)
         verdicts = pool[:need]
         del pool[:need]
         if k <= n:

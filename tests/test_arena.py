@@ -597,6 +597,29 @@ def test_filter_exempts_spans_of_a_full_bsi_period():
     assert oracles.table_contains(rec.start, rec.requested)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=CapacityError,
+    reason="a withheld large span stays in its quarantine bin, off the free pages",
+)
+def test_a_withheld_large_span_rejoins_the_free_pages():
+    # seed 2293 puts a BSI address 2907 bytes into page 11 of 16: the
+    # fifth one-page span, carved from the top, covers it and is withheld
+    arena = make_arena(
+        address_space_bits=32, pointer_width=4, filter_bsi=True,
+        arena_capacity=16 * PAGE_SIZE, rng_seed=2293,
+    )
+    ids = []
+    while not arena.counters.bsi_quarantined:
+        ids.append(arena.alloc(3000).id)
+    for alloc_id in ids:
+        arena.free(alloc_id)
+    # a 2048-byte chunk's run fills a page, and its span ends before the
+    # address, so every page of the emptied arena could serve one
+    for _ in range(16):
+        arena.alloc(2048)
+
+
 def test_filter_off_never_checks():
     arena = make_arena(address_space_bits=32, filter_bsi=False, rng_seed=32)
     for _ in range(100):

@@ -85,10 +85,44 @@ def test_tops_are_numpys_power_of_two_draws(bits):
     ours.integers(7)  # leaves a kept half, served first
     theirs = np.random.Generator(np.random.Philox(9))
     theirs.integers(0, 7)
-    got = []
-    while len(got) < 3 * 2 * 4 * _LANES:
-        got += ours.tops(bits)
-    assert got == theirs.integers(0, 1 << bits, size=len(got)).tolist()
+    tops = ours.tops()
+    first = next(tops)
+    assert len(first) == 1 + 2 * (4 * _LANES - 1)  # the kept half, then the rest
+    got = list(first)
+    for _ in range(3):  # whole refills, two halves per word
+        batch = next(tops)
+        assert len(batch) == 2 * 4 * _LANES
+        got += batch
+    want = theirs.integers(0, 1 << bits, size=len(got)).tolist()
+    assert [b >> (8 - bits) for b in got] == want
+
+
+def test_a_drawn_batch_leaves_the_stream_where_numpy_leaves_it():
+    ours = Philox(4)
+    theirs = np.random.Generator(np.random.Philox(4))
+    ours.integers(3)
+    theirs.integers(0, 3)
+    next(ours.tops())  # the kept half and the rest of the first batch
+    theirs.integers(0, 2, size=1 + 2 * (4 * _LANES - 1))
+    assert ours.integers(1000) == theirs.integers(0, 1000)
+    assert ours.raw() == theirs.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("address_space_bits", [32, 64])
+def test_an_arena_without_randomization_draws_nothing_after_its_base(
+    address_space_bits,
+):
+    config = ArenaConfig(randomize=False, address_space_bits=address_space_bits)
+    arena = Arena(config)
+    for size in (8, 100, 5000) * 300:
+        arena.alloc(size)
+    theirs = np.random.Generator(np.random.Philox(config.rng_seed))
+    base, _, state = oracles.reference_arena_draws(config, 0)
+    theirs.bit_generator.state = state
+    assert arena._base == base
+    # raw words skip a kept half, integers takes it, in both
+    assert arena._rng.raw() == theirs.bit_generator.random_raw()
+    assert arena._rng.integers(1000) == theirs.integers(0, 1000)
 
 
 # capacities whose base draw Lemire rejects about once in 4096 seeds, with
