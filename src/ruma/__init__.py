@@ -15,7 +15,8 @@ their submodules on first access (PEP 562). The ``ruma`` commands load:
 
 - ``filter-check``, ``--help``, ``--version`` and usage errors: ``ruma``,
   ``ruma.bsi`` and ``ruma.errors``, and neither numpy nor ``dataclasses``;
-- ``spray-sim``: those, ``ruma.philox`` and ``ruma.spray``;
+- ``spray-sim``: those, ``ruma.philox`` and ``ruma.spray``, and still not
+  ``dataclasses``;
 - ``gen-trace``: those, ``ruma.philox`` and ``ruma.trace``, and still not
   ``dataclasses``;
 - ``replay``: those, ``ruma.arena``, ``ruma.philox`` and ``ruma.trace``;

@@ -17,11 +17,25 @@ The sampler reads one Philox stream as numpy's
 ``Generator(Philox(seed)).integers(0, states, size=(trials, k))`` would:
 chain after chain, stage after stage, each shift index the top
 ``log2(states)`` bits of the next 32-bit half, a word's low half first
-(see :mod:`ruma.philox`), so a half's top byte alone decides whether its
-stage reads the value back. It takes the halves in batches of whole chains,
-about ``_BATCH_HALVES`` halves each, so the working set stays in cache; a
-batch that ends on a word's low half keeps the high half for the next
-batch, as numpy's ``next_uint32`` buffer does.
+(see :mod:`ruma.philox`). It takes the halves in batches of whole
+chains, about ``_BATCH_HALVES`` halves each, so the working set stays in
+cache; a batch that ends on a word's low half keeps the high half for the
+next batch, as numpy's ``next_uint32`` buffer does.
+
+A stage's verdict is one bit field, not a lookup of the match table. The
+shift indices that read the value back form a subgroup of the cyclic
+group of the ``states`` indices: reading ``a`` and then ``b`` further
+steps into the repetition reads at ``a + b`` modulo the width, so the
+sum of two matching indices matches too. The subgroups of a cyclic group
+are the multiples of a divisor, here ``q = states / matches``, and
+``states`` is a power of two, so ``q`` is one as well (for a byte period
+``p``, ``q = max(1, p / granularity)``). A stage therefore reads the
+value back exactly when the low ``log2(q)`` bits of its index are clear,
+that is when its half ANDed with ``(q - 1) << (32 - log2(states))`` is
+zero. When ``q`` is 1, as for one repeated byte, every stage passes and
+nothing is drawn. numpy tests a chain of even length as ``k/2`` whole
+64-bit words against that field in both halves; an odd one, as ``k``
+32-bit halves.
 
 The stream has two sources that read the same halves in the same order,
 so a seeded result does not depend on which one runs. A run of at most
@@ -40,7 +54,7 @@ root seed, draw different shifts and change the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import check_seed
 
@@ -70,28 +84,26 @@ _BATCH_HALVES = 1 << 17
 _PYTHON_HALVES = 1 << 20
 
 
-@dataclass(frozen=True)
-class SprayPattern:
+class SprayPattern(namedtuple("SprayPattern", "value width")):
     """The repeated payload: ``width`` bytes encoding ``value`` little-endian."""
 
-    value: int
-    width: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.width not in (4, 8):
-            raise ValueError(f"pattern width must be 4 or 8 bytes, got {self.width}")
-        if not 0 <= self.value < 1 << (8 * self.width):
-            raise ValueError(
-                f"pattern value {self.value:#x} does not fit {self.width} bytes"
-            )
+    def __new__(cls, value: int, width: int):
+        if width not in (4, 8):
+            raise ValueError(f"pattern width must be 4 or 8 bytes, got {width}")
+        if not 0 <= value < 1 << (8 * width):
+            raise ValueError(f"pattern value {value:#x} does not fit {width} bytes")
+        return super().__new__(cls, value, width)
 
     @property
     def data(self) -> bytes:
         return self.value.to_bytes(self.width, "little")
 
 
-@dataclass(frozen=True)
-class AttackScenario:
+class AttackScenario(
+    namedtuple("AttackScenario", "pointer_width granularity chain_length pattern")
+):
     """One spray campaign: k independent crafted-pointer dereferences.
 
     ``granularity`` is the allocation granularity of the defense under
@@ -99,25 +111,26 @@ class AttackScenario:
     1 models byte-granularity randomization.
     """
 
-    pointer_width: int
-    granularity: int
-    chain_length: int
-    pattern: SprayPattern
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.pointer_width not in (4, 8):
-            raise ValueError(f"pointer_width must be 4 or 8, got {self.pointer_width}")
-        if self.granularity < 1 or self.pointer_width % self.granularity:
+    def __new__(
+        cls, pointer_width: int, granularity: int, chain_length: int,
+        pattern: SprayPattern,
+    ):
+        if pointer_width not in (4, 8):
+            raise ValueError(f"pointer_width must be 4 or 8, got {pointer_width}")
+        if granularity < 1 or pointer_width % granularity:
             raise ValueError(
-                f"granularity {self.granularity} must divide pointer width "
-                f"{self.pointer_width}"
+                f"granularity {granularity} must divide pointer width "
+                f"{pointer_width}"
             )
-        if not 1 <= self.chain_length <= _MAX_CHAIN:
+        if not 1 <= chain_length <= _MAX_CHAIN:
             raise ValueError(
-                f"chain_length must be in [1, {_MAX_CHAIN}], got {self.chain_length}"
+                f"chain_length must be in [1, {_MAX_CHAIN}], got {chain_length}"
             )
-        if self.pattern.width != self.pointer_width:
+        if pattern.width != pointer_width:
             raise ValueError("pattern width must equal the scenario pointer width")
+        return super().__new__(cls, pointer_width, granularity, chain_length, pattern)
 
     @property
     def shifts(self) -> range:
@@ -147,13 +160,9 @@ def chained_success(scenario: AttackScenario) -> float:
     return sum(matches) ** k / len(matches) ** k
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
-    estimate: float
-    ci_low: float
-    ci_high: float
-    trials: int
-    successes: int
+MonteCarloResult = namedtuple(
+    "MonteCarloResult", "estimate ci_low ci_high trials successes"
+)
 
 
 def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloResult:
@@ -163,13 +172,18 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
         raise ValueError("trials must be at least 1")
     check_seed(seed)
     matches = _match_table(scenario)
+    states = len(matches)
+    q = states // sum(matches)  # the matching indices are the multiples of q
+    # a stage reads the value back when the low log2(q) bits of its shift
+    # index, the top log2(states) bits of its half, are clear
+    field = (q - 1) << (32 - (states.bit_length() - 1))
     k = scenario.chain_length
-    if len(matches) == 1:  # integers(0, 1) draws nothing
-        successes = trials if matches[0] else 0
+    if q == 1:  # every shift reads the value back: nothing to draw
+        successes = trials
     elif trials * k <= _PYTHON_HALVES:
-        successes = _python_successes(matches, k, trials, seed)
+        successes = _python_successes(field, k, trials, seed)
     else:
-        successes = _numpy_successes(matches, k, trials, seed)
+        successes = _numpy_successes(field, k, trials, seed)
     ci_low, ci_high = _wilson(successes, trials)
     return MonteCarloResult(
         estimate=successes / trials,
@@ -180,14 +194,15 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
     )
 
 
-def _python_successes(matches: list, k: int, trials: int, seed: int) -> int:
+def _python_successes(field: int, k: int, trials: int, seed: int) -> int:
     """The chains of ``trials`` whose ``k`` stages all read the value back,
     drawn from :mod:`ruma.philox`: the halves and batches of
     ``_numpy_successes``, computed without numpy."""
     from .philox import Philox
 
-    # a half's top byte -> 1 if its shift index (top log2(states) bits) reads back
-    verdict = bytes(matches[b * len(matches) >> 8] for b in range(256))
+    # a half's top byte -> 1 if it leaves the field clear (the field lies
+    # in the top byte, since states <= 8)
+    verdict = bytes((b << 24) & field == 0 for b in range(256))
     batches = Philox(seed).tops()
     pool = bytearray()  # verdicts of drawn halves no batch has taken yet
     successes = 0
@@ -212,33 +227,41 @@ def _python_successes(matches: list, k: int, trials: int, seed: int) -> int:
     return successes
 
 
-def _numpy_successes(matches: list, k: int, trials: int, seed: int) -> int:
+def _numpy_successes(field: int, k: int, trials: int, seed: int) -> int:
     """The chains of ``trials`` whose ``k`` stages all read the value back,
-    from numpy's raw Philox words."""
+    from numpy's raw Philox words: a chain passes when each of its halves
+    ANDed with ``field`` is zero."""
     import numpy as np
 
-    # bit s of mask says whether shift index s reads the value back
-    mask = np.uint8(sum(m << s for s, m in enumerate(matches)))
-    drop = np.uint8(8 - (len(matches).bit_length() - 1))  # 8 - log2(states)
     raw = np.random.Philox(seed).random_raw
-    kept = None  # top byte of a high half left over by the last batch
+    # An even chain is k/2 whole words, tested against the field in both
+    # halves at once, and no half is ever left over. An odd chain is k
+    # halves, a word's low half first.
+    words = k % 2 == 0
+    units = k // 2 if words else k  # per chain
+    mask = np.uint64(field << 32 | field) if words else np.uint32(field)
+    kept = None  # a high half left over by the last batch
     successes = 0
     remaining = trials
     chains = max(1, _BATCH_HALVES // k)
     while remaining:
         n = min(chains, remaining)
-        need = n * k
-        fresh = need - (kept is not None)
-        # each 32-bit half's top byte, a word's low half first
-        tops = raw((fresh + 1) // 2).astype("<u8", copy=False).view(np.uint8)[3::4]
-        if kept is not None:
-            tops = np.concatenate(([kept], tops))
-        kept = tops[need] if len(tops) > need else None
-        verdicts = (mask >> (tops[:need] >> drop)) & 1
-        # One row per stage, so the AND runs down k contiguous rows of
-        # n chains instead of starting a reduction per chain.
-        stages = np.ascontiguousarray(verdicts.reshape(n, k).T)
-        successes += int(np.count_nonzero(stages.all(axis=0)))
+        need = n * units
+        if words:
+            drawn = raw(need)
+        else:
+            fresh = need - (kept is not None)
+            drawn = raw((fresh + 1) // 2).astype("<u8", copy=False).view("<u4")
+            if kept is not None:
+                drawn = np.concatenate(([kept], drawn))
+            kept = drawn[need] if len(drawn) > need else None
+            drawn = drawn[:need]
+        drawn &= mask  # nonzero where a stage misses
+        if units > 1:
+            # One row per unit, so the OR runs down contiguous rows of n
+            # chains instead of starting a reduction per chain.
+            drawn = np.ascontiguousarray(drawn.reshape(n, units).T).any(axis=0)
+        successes += n - int(np.count_nonzero(drawn))
         remaining -= n
     return successes
 

@@ -589,7 +589,7 @@ def test_light_commands_load_only_bsi_and_errors(argv, code):
     ("argv", "unloaded", "unloaded_stdlib"),
     [
         (["spray-sim", "--pattern", "ff", "--trials", "10"],
-         {"ruma.arena", "ruma.trace", "ruma.membench"}, ["fractions"]),
+         {"ruma.arena", "ruma.trace", "ruma.membench"}, ["dataclasses", "fractions"]),
         (["gen-trace", "--events", "10", "--out", "t.trace"],
          {"ruma.arena", "ruma.spray", "ruma.membench"}, ["dataclasses", "fractions"]),
         (["replay", "--trace", "t.trace"], {"ruma.spray", "ruma.membench"},

@@ -56,6 +56,26 @@ CASES = {
         0,
         "bd9657c56922ec645ede9168d906f79ad588a9a4d0a9956f92b1fae386466ac3",
     ),
+    # numpy's words, a chain of two halves each
+    "spray-sim-numpy-even-chain": (
+        "spray-sim --chain 2 --pattern deadbeefcafebabe --trials 1048577 --seed 1",
+        0,
+        "303c0b6802387a560f7fbf3c0198c6339e614255319f38fb775fa51844338ace",
+    ),
+    # batches of 131067 halves, so a kept high half starts every other
+    # batch; a period of 4 bytes reads back at one of two 2-byte shifts
+    "spray-sim-numpy-odd-chain": (
+        "spray-sim --chain 9 --pattern 1234567812345678 --granularity 2 "
+        "--trials 200000 --seed 2",
+        0,
+        "04cf12c1f6888675309485c6a4d0a2cb2bc811d23171bd7d15840f82e1276ffb",
+    ),
+    # one repeated byte reads back at every shift
+    "spray-sim-repeated-byte": (
+        "spray-sim --pattern 9797979797979797 --trials 1048577 --seed 1",
+        0,
+        "ea48c02aea26f1fe86154b72f08ab62f29acd436905ff00c38a91d6ec2a80351",
+    ),
     "filter-check": (
         "filter-check --start 12121210 --len 8",
         1,

@@ -4,15 +4,18 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
+from ruma import philox
 from ruma import spray as spray_module
 from ruma.spray import (
     AttackScenario,
     SprayPattern,
+    _match_table,
     _wilson,
     chained_success,
     monte_carlo,
@@ -82,6 +85,22 @@ def test_pattern_validation():
         SprayPattern(1, 3)
 
 
+def test_records_are_immutable_values():
+    sc = AttackScenario(
+        pointer_width=8, granularity=1, chain_length=2,
+        pattern=SprayPattern(value=0xDEADBEEFCAFEBABE, width=8),
+    )
+    assert sc == scenario(width=8, g=1, k=2) and hash(sc) == hash(scenario(k=2))
+    assert sc != scenario(width=8, g=1, k=3)
+    for record, name in ((sc, "chain_length"), (sc.pattern, "value")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+    result = monte_carlo(sc, 10, seed=1)
+    assert result == monte_carlo(sc, 10, seed=1)
+    with pytest.raises(AttributeError):
+        result.successes = 0
+
+
 def test_scenario_names_a_bad_pointer_width():
     with pytest.raises(ValueError, match="^pointer_width must be 4 or 8, got 2$"):
         AttackScenario(pointer_width=2, granularity=1, chain_length=1,
@@ -116,6 +135,28 @@ def test_bsi_pattern_defeats_byte_granularity():
 def test_half_period_pattern_survives_half_the_shifts():
     pattern = SprayPattern(0x35343534, 4)  # two-byte period
     assert chained_success(scenario(width=4, g=1, pattern=pattern)) == 0.5
+
+
+@pytest.mark.parametrize("width", [4, 8])
+@pytest.mark.parametrize(
+    "value, periods",
+    [
+        (GENERIC64.value, {8: 8, 4: 4}),
+        (0x1234567812345678, {8: 4, 4: 4}),
+        (HALF64.value, {8: 2, 4: 2}),
+        (BSI64.value, {8: 1, 4: 1}),
+    ],
+)
+def test_matching_shift_indices_are_the_multiples_of_q(width, value, periods):
+    # the samplers' field rule: shift index t reads the value back exactly
+    # when q, the byte period in shift-index units, divides t
+    pattern = SprayPattern(value & ((1 << 8 * width) - 1), width)
+    for g in (1, 2, 4, 8):
+        if g <= width:
+            sc = scenario(width=width, g=g, pattern=pattern)
+            q = max(1, periods[width] // g)
+            states = width // g
+            assert _match_table(sc) == [t % q == 0 for t in range(states)], g
 
 
 def test_match_count_times_states_is_integral():
@@ -323,6 +364,26 @@ def test_monte_carlo_counts_million_stage_chains(both_sources):
         sc = scenario(width=8, g=g, k=1_000_000)
         assert oracles.reference_monte_carlo(sc, 3, 9) == expected
         assert both_sources(sc, 3, 9) == [expected] * 2
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "width, g, pattern",
+    [(8, 1, BSI64), (8, 2, HALF64), (8, 8, GENERIC64), (4, 4, GENERIC32)],
+    ids=["bsi64-g1", "half64-g2", "generic64-g8", "generic32-g4"],
+)
+def test_a_run_where_every_shift_reads_back_draws_nothing(
+    monkeypatch, width, g, pattern, k
+):
+    def no_draws(seed):
+        raise AssertionError("drew from Philox")
+
+    monkeypatch.setattr(philox, "Philox", no_draws)
+    monkeypatch.setattr(np.random, "Philox", no_draws)
+    sc = scenario(width=width, g=g, k=k, pattern=pattern)
+    for trials in (spray_module._PYTHON_HALVES // k, spray_module._PYTHON_HALVES + 1):
+        result = monte_carlo(sc, trials, seed=1)
+        assert result.successes == trials == result.trials
 
 
 @pytest.mark.parametrize(
