@@ -23,14 +23,17 @@ their submodules on first access (PEP 562). The ``ruma`` commands load:
 - ``bench``: those, ``ruma.arena``, ``ruma.philox`` and ``ruma.membench``.
 
 numpy is imported inside the functions that draw numbers or build buffers
-(``generate_trace``, ``monte_carlo`` above 2**20 shift draws, the
-``membench`` timers), not at module top. ``Arena`` draws numpy's Philox
-stream from :mod:`ruma.philox`, computed in pure Python, so ``replay``
-loads no numpy; ``monte_carlo`` draws a shorter run from it too, so
-``spray-sim`` at its default 100000 trials of up to 10 stages loads none
-either. On a 2-vCPU Xeon, ``ruma filter-check`` takes 92 ms without a
-bytecode cache and 71 ms with one, against 140 and 97 ms when
-every command loaded every module (medians of 25 alternating pairs).
+(``monte_carlo`` above 2**20 shift draws, the ``membench`` timers), not
+at module top. ``Arena`` draws numpy's Philox stream from
+:mod:`ruma.philox`, computed in pure Python, so ``replay`` loads no
+numpy; ``generate_trace`` draws every roll, pick and log-normal size
+from it, the normals through numpy's ziggurat with numpy's own tables
+copied into :mod:`ruma.philox`, so ``gen-trace`` loads none; and
+``monte_carlo`` draws a shorter run from it too, so ``spray-sim`` at its
+default 100000 trials of up to 10 stages loads none either. On a 2-vCPU
+Xeon, ``ruma filter-check`` takes 92 ms without a bytecode cache and
+71 ms with one, against 140 and 97 ms when every command loaded every
+module (medians of 25 alternating pairs).
 """
 
 __version__ = "0.1.0"

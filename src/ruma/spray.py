@@ -247,21 +247,30 @@ def _numpy_successes(field: int, k: int, trials: int, seed: int) -> int:
     while remaining:
         n = min(chains, remaining)
         need = n * units
+        # the chains drawn whole from this batch, and whether the one begun
+        # on the last batch's kept half failed
+        rest, failed = n, 0
         if words:
             drawn = raw(need)
+            drawn &= mask  # nonzero where a stage misses
         else:
-            fresh = need - (kept is not None)
+            head = kept
+            fresh = need - (head is not None)
             drawn = raw((fresh + 1) // 2).astype("<u8", copy=False).view("<u4")
-            if kept is not None:
-                drawn = np.concatenate(([kept], drawn))
-            kept = drawn[need] if len(drawn) > need else None
-            drawn = drawn[:need]
-        drawn &= mask  # nonzero where a stage misses
+            kept = int(drawn[fresh]) if len(drawn) > fresh else None
+            drawn = drawn[:fresh]
+            drawn &= mask
+            if head is not None:
+                # the first chain is the kept half and k - 1 fresh ones,
+                # tested apart, so the batch is not copied to prepend it
+                failed = bool(head & field or drawn[: k - 1].any())
+                drawn = drawn[k - 1 :]
+                rest -= 1
         if units > 1:
-            # One row per unit, so the OR runs down contiguous rows of n
+            # One row per unit, so the OR runs down contiguous rows of
             # chains instead of starting a reduction per chain.
-            drawn = np.ascontiguousarray(drawn.reshape(n, units).T).any(axis=0)
-        successes += n - int(np.count_nonzero(drawn))
+            drawn = np.ascontiguousarray(drawn.reshape(rest, units).T).any(axis=0)
+        successes += n - failed - int(np.count_nonzero(drawn))
         remaining -= n
     return successes
 

@@ -19,10 +19,12 @@ event list never exists in full.
 An event is a tuple ``(kind, id, size, line)``; ``size`` is None for a
 free and ``line`` is the source line, or 0 for a generated event.
 
-The generator draws from one Philox stream. Sizes call numpy's
-``lognormal``; each step's roll and each live-id pick
-(:func:`ruma.philox.pick`) are computed from the stream's raw 64-bit
-words, as numpy's ``random()`` and ``integers(0, n)`` compute them, so
+The generator draws from one Philox stream, :class:`ruma.philox.Philox`,
+and imports no numpy. Each step's roll, each live-id pick
+(:func:`ruma.philox.pick`) and each size's normal deviate
+(:func:`ruma.philox.standard_normal`, numpy's ziggurat with numpy's
+tables) are computed from the stream's raw 64-bit words, as numpy's
+``random()``, ``integers(0, n)`` and ``lognormal`` compute them, so
 seeded traces match numpy's calls.
 """
 
@@ -31,10 +33,11 @@ from __future__ import annotations
 import io
 import math
 from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, TraceError, check_seed
-from .philox import pick as _pick
+from .philox import Philox, pick as _pick, standard_normal
 
 if TYPE_CHECKING:
     from .arena import Arena, ArenaConfig, ReplayStats
@@ -218,11 +221,11 @@ def generate_trace(
     frees a random live id otherwise. Ids are decimal tokens in allocation
     order. Deterministic for a fixed seed.
 
-    All draws come from one Philox stream. Only sizes call numpy
-    (``lognormal``); each step's roll and each live-id pick are computed
-    from the stream's raw 64-bit words exactly as ``Generator.random()``
-    and ``Generator.integers(0, n)`` compute them, which saves numpy's
-    per-call overhead and keeps every seeded trace unchanged.
+    All draws come from one Philox stream, without numpy: each step's
+    roll, each live-id pick and each size are computed from the stream's
+    raw 64-bit words exactly as ``Generator.random()``,
+    ``Generator.integers(0, n)`` and ``Generator.lognormal(mean, sigma)``
+    compute them, so every seeded trace is the one numpy's calls give.
     """
     if events < 0:
         raise ValueError("events must be non-negative")
@@ -233,14 +236,14 @@ def generate_trace(
         raise ValueError(f"median must be positive and finite, got {median}")
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
-    import numpy as np
-
-    rng = np.random.Generator(np.random.Philox(seed))
-    raw = rng.bit_generator.random_raw
-    lognormal = rng.lognormal
-    # np.log, not math.log: the two may differ in the last bit, which would
-    # change every seeded trace
-    mean = np.log(median)
+    raw = chain.from_iterable(Philox(seed).words()).__next__
+    # numpy's lognormal is exp(mean + sigma * z). math.log and np.log differ
+    # in the last bit for about 1 median in 10,000; a 1-ulp change in the
+    # mean moves a size by about 2 ulps, which changes the rounded size only
+    # at a .5 boundary. That no seeded trace changes rests on measurement
+    # (test_trace.py searches such medians), not on proof.
+    mean = math.log(median)
+    exp = math.exp
     # a roll is Philox's next_double, (word >> 11) / 2**53, and for an
     # integer w, w / 2**53 < p exactly when w < ceil(p * 2**53): so a roll
     # below p is a word below that bound shifted left by 11
@@ -266,8 +269,11 @@ def generate_trace(
                 continue
             ident = live[pick]
             kind = "realloc"
+        try:
+            size = exp(mean + sigma * standard_normal(raw))
+        except OverflowError:  # where C's exp, and so numpy's, gives inf
+            size = math.inf
         # clamped before rounding, so a draw that overflows to inf is max_size
-        size = lognormal(mean, sigma)
         append((kind, ident, round(
             min_size if size < min_size else max_size if size > max_size else size
         ), 0))

@@ -646,7 +646,6 @@ def test_numpy_commands_run_in_a_fresh_process(tmp_path):
     # numpy is imported where numbers are drawn or buffers built; each of
     # these commands must reach such an import from a cold start.
     runs = [
-        ["gen-trace", "--events", "500", "--seed", "2", "--out", "t.trace"],
         # one half more than ruma.spray draws without numpy
         ["spray-sim", "--chain", "1", "--pattern", "deadbeefcafebabe",
          "--trials", "1048577"],
@@ -668,6 +667,25 @@ def test_spray_sim_below_the_threshold_loads_no_numpy():
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["trials"] == trials
         assert loaded == []
+
+
+def test_gen_trace_and_the_trace_module_load_no_numpy(tmp_path):
+    # every draw, the log-normal sizes among them, comes from ruma.philox;
+    # the second run's sizes overflow to inf and clamp to --max-size
+    for flags in ([], ["--median", "1e308", "--sigma", "5", "--max-size", "512"]):
+        argv = ["gen-trace", "--events", "500", "--seed", "2", "--out", "t.trace"]
+        proc, loaded = _run_cli_listing("numpy", *argv, *flags, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["events"] == 500
+        assert loaded == []
+    proc = run_python(
+        "-c",
+        "import sys\nfrom ruma.trace import generate_trace\n"
+        "generate_trace(20000, seed=3, median=512, sigma=1.5, max_size=65536)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_replay_and_the_arena_load_no_numpy(tmp_path):

@@ -1,13 +1,24 @@
 """ruma.philox against numpy: the key, the blocks, the stream, the arena."""
 
+import math
+from itertools import chain
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruma import ArenaConfig
+from ruma import ArenaConfig, philox
 from ruma.arena import PAGE_SIZE, Arena
-from ruma.philox import _LANES, Philox, _blocks, _packed_keys, seed_key
+from ruma.philox import (
+    _LANES,
+    Philox,
+    _blocks,
+    _packed_keys,
+    seed_key,
+    standard_normal,
+)
 
 import oracles
 
@@ -106,6 +117,49 @@ def test_a_drawn_batch_leaves_the_stream_where_numpy_leaves_it():
     theirs.integers(0, 2, size=1 + 2 * (4 * _LANES - 1))
     assert ours.integers(1000) == theirs.integers(0, 1000)
     assert ours.raw() == theirs.bit_generator.random_raw()
+
+
+def test_words_are_numpys_raw_words_and_leave_a_kept_half_kept():
+    ours = Philox(6)
+    theirs = np.random.Generator(np.random.Philox(6))
+    ours.integers(5)  # leaves a kept half, which words() skips as numpy does
+    theirs.integers(0, 5)
+    batches = ours.words()
+    got = list(next(batches))
+    assert len(got) == 4 * _LANES - 1  # the rest of the first batch
+    for _ in range(2):  # whole refills
+        batch = next(batches)
+        assert len(batch) == 4 * _LANES
+        got += batch
+    assert got == theirs.bit_generator.random_raw(len(got)).tolist()
+    assert ours.integers(1000) == theirs.integers(0, 1000)  # the kept half
+    assert ours.raw() == theirs.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 2**64 - 1])
+def test_standard_normal_is_numpys_ziggurat(seed, monkeypatch):
+    # Bit for bit against numpy, so a wrong entry of _KI, _WI or _FI, or a
+    # numpy whose stream has changed, fails here. log1p runs only in the
+    # tail loop and exp only in the wedge test; each must be reached.
+    calls = {"tail": 0, "wedge": 0}
+
+    def log1p(x):
+        calls["tail"] += 1
+        return math.log1p(x)
+
+    def exp(x):
+        calls["wedge"] += 1
+        return math.exp(x)
+
+    monkeypatch.setattr(philox, "math", SimpleNamespace(log1p=log1p, exp=exp))
+    n = 200_000
+    raw = chain.from_iterable(Philox(seed).words()).__next__
+    ours = [standard_normal(raw) for _ in range(n)]
+    theirs = np.random.Generator(np.random.Philox(seed))
+    want = theirs.standard_normal(n)
+    assert np.array_equal(np.array(ours).view(np.uint64), want.view(np.uint64))
+    assert raw() == theirs.bit_generator.random_raw()  # the same words taken
+    assert calls["tail"] and calls["wedge"], calls
 
 
 @pytest.mark.parametrize("address_space_bits", [32, 64])

@@ -358,6 +358,24 @@ def test_monte_carlo_memory_stays_in_cache_sized_batches(monkeypatch):
         assert peak < 2 * 2**20, limit
 
 
+def test_an_odd_chain_holds_no_more_than_an_even_one(monkeypatch):
+    # At an odd chain every other batch begins on the kept half of the one
+    # before; it is tested on its own, so the batch is not copied to put
+    # the half in front. One chain a batch: 3.8 MiB of drawn halves each.
+    monkeypatch.setattr(spray_module, "_PYTHON_HALVES", 0)
+    peaks = []
+    for k in (10**6, 10**6 - 1):
+        sc = scenario(width=8, g=1, k=k)
+        monte_carlo(sc, 1, seed=9)  # warms up numpy's import
+        tracemalloc.start()
+        try:
+            monte_carlo(sc, 3, seed=9)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**18, peaks
+
+
 def test_monte_carlo_counts_million_stage_chains(both_sources):
     # a million stages: one chain per batch
     for g, expected in ((4, 0), (8, 3)):
