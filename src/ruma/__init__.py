@@ -16,22 +16,26 @@ their submodules on first access (PEP 562). The ``ruma`` commands load:
 - ``filter-check``, ``--help``, ``--version`` and usage errors: ``ruma``,
   ``ruma.bsi`` and ``ruma.errors``, and neither numpy nor ``dataclasses``;
 - ``spray-sim``: those, ``ruma.philox`` and ``ruma.spray``, and still not
-  ``dataclasses``;
+  ``dataclasses``; above 2**20 shift draws also ``ruma.native`` and
+  ``ctypes`` for the compiled sampler;
 - ``gen-trace``: those, ``ruma.philox`` and ``ruma.trace``, and still not
   ``dataclasses``;
 - ``replay``: those, ``ruma.arena``, ``ruma.philox`` and ``ruma.trace``;
 - ``bench``: those, ``ruma.arena``, ``ruma.philox`` and ``ruma.membench``.
 
 numpy is imported inside the functions that draw numbers or build buffers
-(``monte_carlo`` above 2**20 shift draws, the ``membench`` timers), not
-at module top. ``Arena`` draws numpy's Philox stream from
-:mod:`ruma.philox`, computed in pure Python, so ``replay`` loads no
-numpy; ``generate_trace`` draws every roll, pick and log-normal size
-from it, the normals through numpy's ziggurat with numpy's own tables
-copied into :mod:`ruma.philox`, so ``gen-trace`` loads none; and
-``monte_carlo`` draws a shorter run from it too, so ``spray-sim`` at its
-default 100000 trials of up to 10 stages loads none either. On a 2-vCPU
-Xeon, ``ruma filter-check`` takes 92 ms without a bytecode cache and
+(``monte_carlo`` above 2**20 shift draws when its C sampler cannot be
+built, the ``membench`` timers), not at module top. ``Arena`` draws
+numpy's Philox stream from :mod:`ruma.philox`, computed in pure Python,
+so ``replay`` loads no numpy; ``generate_trace`` draws every roll, pick
+and log-normal size from it, the normals through numpy's ziggurat with
+numpy's own tables copied into :mod:`ruma.philox`, so ``gen-trace``
+loads none; and ``monte_carlo`` draws a shorter run from it too, so
+``spray-sim`` at its default 100000 trials of up to 10 stages loads none
+either. A longer run is counted by ``ruma/native/spray.c``, compiled
+once by :func:`ruma.native.build` with the ``cc`` on ``PATH`` and
+cached, so it loads numpy only on a host where that build fails. On a
+2-vCPU Xeon, ``ruma filter-check`` takes 92 ms without a bytecode cache and
 71 ms with one, against 140 and 97 ms when every command loaded every
 module (medians of 25 alternating pairs).
 """

@@ -37,13 +37,23 @@ nothing is drawn. numpy tests a chain of even length as ``k/2`` whole
 64-bit words against that field in both halves; an odd one, as ``k``
 32-bit halves.
 
-The stream has two sources that read the same halves in the same order,
-so a seeded result does not depend on which one runs. A run of at most
-``_PYTHON_HALVES`` halves (``trials * chain_length``) draws them from
-:class:`ruma.philox.Philox` in pure Python and never imports numpy; a
-longer one takes numpy's raw Philox words. numpy's import costs about
-0.15 s, and ruma.philox makes 2**20 halves in about 0.1 s, so 2**20 is
-the measured crossover: at 2**21 halves the two were even.
+The stream has three sources that read the same halves in the same
+order, so a seeded result does not depend on which one runs:
+
+- a run of at most ``_PYTHON_HALVES`` halves (``trials * chain_length``)
+  draws them from :class:`ruma.philox.Philox` in pure Python. numpy's
+  import costs about 0.15 s, and ruma.philox makes 2**20 halves in about
+  0.1 s, so 2**20 is the measured crossover: at 2**21 halves the two
+  were even;
+- a longer run is counted by ``ruma/native/spray.c``, built by
+  :func:`ruma.native.build` and loaded through ctypes. It computes the
+  Philox blocks itself from :func:`ruma.philox.seed_key` and stops each
+  chain at its first failed stage; Python calls it ``_NATIVE_CHAINS``
+  chains at a time. 10**7 chains of two stages take about 0.07 s on a
+  2-vCPU Xeon;
+- where that library cannot be built (no ``cc``, no writable cache, or a
+  failed build), or the halves do not fit in 63 bits, the longer run
+  takes numpy's raw Philox words, and only this source imports numpy.
 
 Splitting the batches across workers keeps the seeded output only if
 each worker reproduces its stretch of that single stream (for example by
@@ -53,6 +63,7 @@ root seed, draw different shifts and change the result.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -82,6 +93,10 @@ _BATCH_HALVES = 1 << 17
 # ruma.philox; a longer run pays numpy's import for its faster words.
 # 2**20 is the measured crossover, not a setting.
 _PYTHON_HALVES = 1 << 20
+# Chains per call of the compiled kernel: short enough calls for Ctrl-C
+# to get through between them. Odd, so that at an odd chain length every
+# other call starts on a word's high half.
+_NATIVE_CHAINS = (1 << 22) - 1
 
 
 class SprayPattern(namedtuple("SprayPattern", "value width")):
@@ -183,7 +198,12 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
     elif trials * k <= _PYTHON_HALVES:
         successes = _python_successes(field, k, trials, seed)
     else:
-        successes = _numpy_successes(field, k, trials, seed)
+        # the kernel counts halves in 64-bit ints
+        kernel = _native_kernel() if trials * k < 1 << 63 else None
+        if kernel is None:
+            successes = _numpy_successes(field, k, trials, seed)
+        else:
+            successes = _native_successes(kernel, field, k, trials, seed)
     ci_low, ci_high = _wilson(successes, trials)
     return MonteCarloResult(
         estimate=successes / trials,
@@ -224,6 +244,37 @@ def _python_successes(field: int, k: int, trials: int, seed: int) -> int:
         else:  # fewer chains than stages: look for a failed stage in each
             successes += sum(verdicts.find(0, i, i + k) < 0 for i in range(0, need, k))
         remaining -= n
+    return successes
+
+
+@functools.cache
+def _native_kernel():
+    """``spray_successes`` of ``ruma/native/spray.c`` through ctypes, or
+    None when the library cannot be built or loaded."""
+    import ctypes
+
+    from .native import NativeError, build
+
+    try:
+        kernel = ctypes.CDLL(build("spray")).spray_successes
+    except (NativeError, OSError):
+        return None
+    kernel.argtypes = (ctypes.c_uint64,) * 5 + (ctypes.c_uint32,)
+    kernel.restype = ctypes.c_uint64
+    return kernel
+
+
+def _native_successes(kernel, field: int, k: int, trials: int, seed: int) -> int:
+    """The chains of ``trials`` whose ``k`` stages all read the value back,
+    counted by the compiled ``kernel`` over the same halves, in calls of
+    ``_NATIVE_CHAINS`` chains."""
+    from .philox import seed_key
+
+    k0, k1 = seed_key(seed)
+    successes = 0
+    for first in range(0, trials, _NATIVE_CHAINS):
+        chains = min(_NATIVE_CHAINS, trials - first)
+        successes += kernel(k0, k1, first * k, chains, k, field)
     return successes
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,21 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
+
+# The tests that compile C skip only where the host has no compiler (or,
+# for the symbol check, no nm).
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def native_cache(tmp_path_factory):
+    """The session's ``XDG_CACHE_HOME``, a fresh directory, so native
+    builds never touch the user's cache: set in this process, it reaches
+    every child through ``child_env``."""
+    cache = tmp_path_factory.mktemp("xdg-cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(cache))
+        yield cache
 
 
 def child_env(env=None):

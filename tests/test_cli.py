@@ -13,11 +13,12 @@ import pytest
 
 import ruma
 import ruma.trace as trace_mod
-from conftest import child_env, run_cli, run_python
+from conftest import child_env, needs_cc, run_cli, run_python
 from ruma import ArenaConfig, cli, membench
 from ruma import spray as spray_module
 from ruma.cli import build_parser, dispatch, main
 from ruma.errors import TraceError
+from ruma.native import build
 
 DATA = Path(__file__).parent / "data"
 
@@ -43,13 +44,16 @@ def test_spray_sim_exact_output(schemas):
     "--trials 100000 --seed 18446744073709551615",
 ])
 def test_spray_sim_prints_the_same_from_either_source(monkeypatch, argv):
-    # ruma.philox below the threshold and numpy's raw words above it read
-    # the same halves, so the report cannot tell them apart
+    # ruma.philox below the threshold, and above it the compiled kernel or,
+    # without one, numpy's raw words, read the same halves, so the report
+    # cannot tell them apart
+    kernel = spray_module._native_kernel
     outputs = []
-    for limit in (1 << 30, 0):
+    for limit, native in ((1 << 30, kernel), (0, kernel), (0, lambda: None)):
         monkeypatch.setattr(spray_module, "_PYTHON_HALVES", limit)
+        monkeypatch.setattr(spray_module, "_native_kernel", native)
         outputs.append(dispatch(argv.split()))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][0] == 0
 
 
@@ -531,9 +535,10 @@ def test_filter_check_positive_exit_via_process():
     assert proc.returncode == 0
 
 
-def _run_cli_listing(package, *argv, cwd=None):
-    """Run ``ruma *argv`` in a fresh child process. Its last stderr line
-    lists the modules of ``package`` loaded by the time the CLI returned."""
+def _run_cli_listing(package, *argv, cwd=None, env=None):
+    """Run ``ruma *argv`` in a fresh child process with ``env`` on top of
+    ``child_env``. Its last stderr line lists the modules of ``package``
+    loaded by the time the CLI returned."""
     probe = f"""
 import runpy, sys
 try:
@@ -542,7 +547,7 @@ finally:
     print(sorted(m for m in sys.modules if m.partition(".")[0] == {package!r}),
           file=sys.stderr)
 """
-    proc = run_python("-c", probe, *argv, cwd=cwd)
+    proc = run_python("-c", probe, *argv, cwd=cwd, env=env)
     return proc, ast.literal_eval(proc.stderr.splitlines()[-1])
 
 
@@ -645,17 +650,37 @@ def test_importing_the_api_loads_no_numpy():
 def test_numpy_commands_run_in_a_fresh_process(tmp_path):
     # numpy is imported where numbers are drawn or buffers built; each of
     # these commands must reach such an import from a cold start.
+    (tmp_path / "bin").mkdir()
+    no_compiler = {
+        "PATH": str(tmp_path / "bin"), "XDG_CACHE_HOME": str(tmp_path / "cache")
+    }
     runs = [
-        # one half more than ruma.spray draws without numpy
-        ["spray-sim", "--chain", "1", "--pattern", "deadbeefcafebabe",
-         "--trials", "1048577"],
-        ["bench", "--iters", "1", "--scale", "0.0001"],
+        # one half more than ruma.spray draws from ruma.philox, on a host
+        # with no cc and nothing built: numpy's words, not the kernel
+        (["spray-sim", "--chain", "1", "--pattern", "deadbeefcafebabe",
+          "--trials", "1048577"], no_compiler),
+        (["bench", "--iters", "1", "--scale", "0.0001"], None),
     ]
-    for argv in runs:
-        proc, loaded = _run_cli_listing("numpy", *argv, cwd=tmp_path)
+    for argv, env in runs:
+        proc, loaded = _run_cli_listing("numpy", *argv, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)
         assert loaded
+    assert not (tmp_path / "cache").exists()
+
+
+@needs_cc
+def test_a_long_spray_sim_with_a_compiler_loads_no_numpy():
+    # above 2**20 halves the compiled kernel draws them; once it is built,
+    # the run starts no process, so it loads neither numpy nor subprocess
+    build("spray")
+    argv = ["spray-sim", "--width", "8", "--chain", "2",
+            "--pattern", "deadbeefcafebabe", "--trials", "10000000", "--seed", "1"]
+    for package in ("numpy", "subprocess"):
+        proc, loaded = _run_cli_listing(package, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["estimate"] == 0.0156786
+        assert loaded == [], package
 
 
 def test_spray_sim_below_the_threshold_loads_no_numpy():

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from ruma import spray
 from ruma.cli import dispatch
 
 EVENTS = "20000"  # 13005 allocations: past one batch of offsets (8192 halves)
@@ -45,7 +46,8 @@ CASES = {
         0,
         "5292898db65cf9828e66c509d5b5b09714b4fea5d977c9a06ad1fffaa7a396c6",
     ),
-    # one side of spray._PYTHON_HALVES each: ruma.philox, then numpy
+    # one side of spray._PYTHON_HALVES each: ruma.philox, then the compiled
+    # kernel (numpy's words where it cannot be built; see the test below)
     "spray-sim-philox": (
         "spray-sim --chain 2 --pattern deadbeefcafebabe --trials 1000 --seed 1",
         0,
@@ -56,14 +58,14 @@ CASES = {
         0,
         "bd9657c56922ec645ede9168d906f79ad588a9a4d0a9956f92b1fae386466ac3",
     ),
-    # numpy's words, a chain of two halves each
+    # above the threshold, a chain of two halves each
     "spray-sim-numpy-even-chain": (
         "spray-sim --chain 2 --pattern deadbeefcafebabe --trials 1048577 --seed 1",
         0,
         "303c0b6802387a560f7fbf3c0198c6339e614255319f38fb775fa51844338ace",
     ),
-    # batches of 131067 halves, so a kept high half starts every other
-    # batch; a period of 4 bytes reads back at one of two 2-byte shifts
+    # numpy's batches of 131067 halves, so a kept high half starts every
+    # other batch; a period of 4 bytes reads back at one of two 2-byte shifts
     "spray-sim-numpy-odd-chain": (
         "spray-sim --chain 9 --pattern 1234567812345678 --granularity 2 "
         "--trials 200000 --seed 2",
@@ -100,5 +102,16 @@ def files(tmp_path_factory):
 def test_seeded_output_digest_is_unchanged(case, files):
     command, exit_code, digest = CASES[case]
     code, out = dispatch(command.format(files=files).split())
+    assert code == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if "numpy" in case])
+def test_seeded_spray_digest_is_unchanged_without_the_kernel(case, monkeypatch):
+    # the runs above spray._PYTHON_HALVES, from numpy's raw words, as on a
+    # host with no C compiler
+    monkeypatch.setattr(spray, "_native_kernel", lambda: None)
+    command, exit_code, digest = CASES[case]
+    code, out = dispatch(command.split())
     assert code == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

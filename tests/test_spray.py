@@ -23,6 +23,7 @@ from ruma.spray import (
 )
 
 import oracles
+from conftest import needs_cc
 
 GENERIC64 = SprayPattern(0xDEADBEEFCAFEBABE, 8)
 GENERIC32 = SprayPattern(0xCAFEBABE, 4)
@@ -272,21 +273,44 @@ def test_monte_carlo_validates_trials():
         monte_carlo(scenario(), 10, seed=-1)
 
 
+NATIVE_KERNEL = spray_module._native_kernel
+
+
+def use_source(monkeypatch, source, halves):
+    """Make ``monte_carlo`` draw a run of ``halves`` halves from ``source``:
+    ruma.philox ("philox"), the compiled kernel ("native", when it builds)
+    or numpy's raw words ("numpy", as on a host without a compiler)."""
+    monkeypatch.setattr(
+        spray_module, "_PYTHON_HALVES", halves if source == "philox" else 0
+    )
+    monkeypatch.setattr(
+        spray_module, "_native_kernel",
+        NATIVE_KERNEL if source == "native" else lambda: None,
+    )
+
+
+SOURCES = ("philox", "native", "numpy")
+
+
 @pytest.fixture
-def both_sources(monkeypatch):
+def each_source(monkeypatch):
     """``run(sc, trials, seed)`` samples once from each source of the one
-    stream, ruma.philox (``_PYTHON_HALVES`` at the run's halves) and
-    numpy's raw words (``_PYTHON_HALVES`` at 0), and returns both
-    successes."""
+    stream, in the order of ``SOURCES``, and returns the three successes."""
 
     def run(sc, trials, seed):
         got = []
-        for limit in (trials * sc.chain_length, 0):
-            monkeypatch.setattr(spray_module, "_PYTHON_HALVES", limit)
+        for source in SOURCES:
+            use_source(monkeypatch, source, trials * sc.chain_length)
             got.append(monte_carlo(sc, trials, seed).successes)
         return got
 
     return run
+
+
+@needs_cc
+def test_the_kernel_builds_where_there_is_a_compiler():
+    # otherwise "native" in each_source would quietly be numpy again
+    assert NATIVE_KERNEL() is not None
 
 
 ORACLE_GRID = [
@@ -301,53 +325,53 @@ ORACLE_GRID = [
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 1000])
 @pytest.mark.parametrize("width, g, pattern", ORACLE_GRID)
 def test_monte_carlo_counts_the_chains_of_one_stream(
-    monkeypatch, both_sources, width, g, pattern, k
+    monkeypatch, each_source, width, g, pattern, k
 ):
     # batches a few chains long, and a trial count that ends mid-batch
     monkeypatch.setattr(spray_module, "_BATCH_HALVES", 3000)
     sc = scenario(width=width, g=g, k=k, pattern=pattern)
     trials = 2 * max(1, 3000 // k) + 1
     expected = oracles.reference_monte_carlo(sc, trials, k)
-    assert both_sources(sc, trials, k) == [expected] * 2
+    assert each_source(sc, trials, k) == [expected] * 3
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 1000])
-def test_monte_carlo_counts_the_chains_across_full_batches(both_sources, k):
+def test_monte_carlo_counts_the_chains_across_full_batches(each_source, k):
     # the real batch size, ending one chain into a further batch
     sc = scenario(width=8, g=4, k=k)  # one stage in two reads the value back
     trials = 1_000_000 // k + 1
     expected = oracles.reference_monte_carlo(sc, trials, 5)
-    assert both_sources(sc, trials, 5) == [expected] * 2
+    assert each_source(sc, trials, 5) == [expected] * 3
 
 
 @pytest.mark.parametrize("width, g, pattern", ORACLE_GRID)
 def test_monte_carlo_carries_the_kept_half_across_batches(
-    monkeypatch, both_sources, width, g, pattern
+    monkeypatch, each_source, width, g, pattern
 ):
     # three chains of three stages a batch: 9 halves, so every other batch
     # starts on the high half the batch before it kept
     monkeypatch.setattr(spray_module, "_BATCH_HALVES", 9)
     sc = scenario(width=width, g=g, k=3, pattern=pattern)
-    assert both_sources(sc, 40, 3) == [oracles.reference_monte_carlo(sc, 40, 3)] * 2
+    assert each_source(sc, 40, 3) == [oracles.reference_monte_carlo(sc, 40, 3)] * 3
 
 
-def test_monte_carlo_counts_chains_longer_than_a_batch(both_sources):
+def test_monte_carlo_counts_chains_longer_than_a_batch(each_source):
     # one chain a batch, one half longer than the real batch, so each
     # batch ends on a kept half; a stage reads the value back at one
     # shift in four or at all four
     for pattern, expected in ((GENERIC64, 0), (HALF64, 5)):
         sc = scenario(width=8, g=2, k=131_073, pattern=pattern)
         assert oracles.reference_monte_carlo(sc, 5, 13) == expected
-        assert both_sources(sc, 5, 13) == [expected] * 2
+        assert each_source(sc, 5, 13) == [expected] * 3
 
 
 def test_monte_carlo_memory_stays_in_cache_sized_batches(monkeypatch):
     # numpy reports its buffers to tracemalloc; the first call of each
-    # source, ruma.philox and then numpy's raw words, only warms up that
-    # source's imports, which are not the sampler's memory
+    # source only warms up that source's imports and library, which are
+    # not the sampler's memory
     sc = scenario(width=8, g=1, k=2)
-    for limit in (2 * 10**6, 0):
-        monkeypatch.setattr(spray_module, "_PYTHON_HALVES", limit)
+    for source in SOURCES:
+        use_source(monkeypatch, source, 2 * 10**6)
         monte_carlo(sc, 1, seed=1)
         tracemalloc.start()
         try:
@@ -355,14 +379,14 @@ def test_monte_carlo_memory_stays_in_cache_sized_batches(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20, limit
+        assert peak < 2 * 2**20, source
 
 
 def test_an_odd_chain_holds_no_more_than_an_even_one(monkeypatch):
     # At an odd chain every other batch begins on the kept half of the one
     # before; it is tested on its own, so the batch is not copied to put
     # the half in front. One chain a batch: 3.8 MiB of drawn halves each.
-    monkeypatch.setattr(spray_module, "_PYTHON_HALVES", 0)
+    use_source(monkeypatch, "numpy", 0)
     peaks = []
     for k in (10**6, 10**6 - 1):
         sc = scenario(width=8, g=1, k=k)
@@ -376,12 +400,12 @@ def test_an_odd_chain_holds_no_more_than_an_even_one(monkeypatch):
     assert peaks[1] < peaks[0] + 2**18, peaks
 
 
-def test_monte_carlo_counts_million_stage_chains(both_sources):
+def test_monte_carlo_counts_million_stage_chains(each_source):
     # a million stages: one chain per batch
     for g, expected in ((4, 0), (8, 3)):
         sc = scenario(width=8, g=g, k=1_000_000)
         assert oracles.reference_monte_carlo(sc, 3, 9) == expected
-        assert both_sources(sc, 3, 9) == [expected] * 2
+        assert each_source(sc, 3, 9) == [expected] * 3
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -398,27 +422,103 @@ def test_a_run_where_every_shift_reads_back_draws_nothing(
 
     monkeypatch.setattr(philox, "Philox", no_draws)
     monkeypatch.setattr(np.random, "Philox", no_draws)
+    monkeypatch.setattr(spray_module, "_native_kernel", no_draws)
     sc = scenario(width=width, g=g, k=k, pattern=pattern)
     for trials in (spray_module._PYTHON_HALVES // k, spray_module._PYTHON_HALVES + 1):
         result = monte_carlo(sc, trials, seed=1)
         assert result.successes == trials == result.trials
 
 
+def stage_field(sc):
+    """The bits a stage's half must have clear to read the value back: the
+    low bits of its shift index (the top log2(states) bits of the half),
+    below the spacing of the matching shifts."""
+    matches = _match_table(sc)
+    spacing = len(matches) // sum(matches)
+    return (spacing - 1) << (32 - (len(matches).bit_length() - 1))
+
+
+SAMPLERS = ("_python_successes", "_native_successes", "_numpy_successes")
+
+
 @pytest.mark.parametrize(
-    "extra, source", [(0, "_python_successes"), (1, "_numpy_successes")]
+    "extra, source",
+    [(0, "_python_successes"), (1, "_native_successes"), (1, "_numpy_successes")],
 )
 def test_monte_carlo_draws_from_philox_up_to_the_threshold(monkeypatch, extra, source):
-    # exactly _PYTHON_HALVES halves come from ruma.philox, one more from numpy
+    # exactly _PYTHON_HALVES halves come from ruma.philox; one more from
+    # the compiled kernel, or from numpy where the kernel cannot be built
+    if source == "_numpy_successes":
+        monkeypatch.setattr(spray_module, "_native_kernel", lambda: None)
+    elif source == "_native_successes" and NATIVE_KERNEL() is None:
+        pytest.skip("no compiled kernel without cc")
     calls = []
-    sampler = getattr(spray_module, source)
-    monkeypatch.setattr(
-        spray_module, source, lambda *args: calls.append(args) or sampler(*args)
-    )
+    for name in SAMPLERS:
+        sampler = getattr(spray_module, name)
+        monkeypatch.setattr(
+            spray_module, name,
+            lambda *args, name=name, sampler=sampler: (
+                calls.append(name) or sampler(*args)
+            ),
+        )
     sc = scenario(width=8, g=1, k=1)
     trials = spray_module._PYTHON_HALVES + extra
     expected = oracles.reference_monte_carlo(sc, trials, 4)
     assert monte_carlo(sc, trials, seed=4).successes == expected
-    assert len(calls) == 1
+    assert calls == [source]
+
+
+def test_monte_carlo_takes_numpy_when_the_halves_pass_63_bits(monkeypatch):
+    # the kernel counts halves in 64-bit ints, and a run of 2**63 halves
+    # or more is left to numpy (stubbed here: nobody draws that many)
+    calls = []
+    monkeypatch.setattr(
+        spray_module, "_native_successes", lambda *args: calls.append("native") or 0
+    )
+    monkeypatch.setattr(
+        spray_module, "_numpy_successes", lambda *args: calls.append("numpy") or 0
+    )
+    for trials, source in ((2**62 - 1, "native"), (2**62, "numpy")):
+        calls.clear()
+        assert monte_carlo(scenario(k=2), trials, seed=1).successes == 0
+        assert calls == [source] or NATIVE_KERNEL() is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9])
+@pytest.mark.parametrize("width, g, pattern", ORACLE_GRID)
+def test_the_kernel_counts_what_the_oracle_and_numpy_count(
+    monkeypatch, width, g, pattern, k
+):
+    # calls of 7 chains, so an odd chain's calls start on high halves too
+    monkeypatch.setattr(spray_module, "_NATIVE_CHAINS", 7)
+    kernel = NATIVE_KERNEL()
+    if kernel is None:
+        pytest.skip("no compiled kernel without cc")
+    sc = scenario(width=width, g=g, k=k, pattern=pattern)
+    field = stage_field(sc)
+    for seed in (0, 1, 2**64 - 1):
+        trials = 600 + seed % 7
+        expected = oracles.reference_monte_carlo(sc, trials, seed)
+        assert spray_module._native_successes(kernel, field, k, trials, seed) == (
+            expected
+        ), seed
+        assert spray_module._numpy_successes(field, k, trials, seed) == expected
+
+
+@needs_cc
+def test_the_kernel_restarts_on_a_high_half_between_calls():
+    # an odd chain over three calls of the real size: the second call
+    # starts on a word's high half, the third on a low one
+    k, chains = 3, spray_module._NATIVE_CHAINS
+    assert chains * k % 2 == 1
+    sc = scenario(width=8, g=2, k=k)  # one shift in four reads back
+    field = stage_field(sc)
+    assert field == 3 << 30
+    trials = 2 * chains + 1001
+    kernel = NATIVE_KERNEL()
+    got = spray_module._native_successes(kernel, field, k, trials, 11)
+    assert got == spray_module._numpy_successes(field, k, trials, 11)
+    assert monte_carlo(sc, trials, seed=11).successes == got
 
 
 @pytest.mark.parametrize(
@@ -431,8 +531,8 @@ def test_monte_carlo_draws_from_philox_up_to_the_threshold(monkeypatch, extra, s
         (scenario(width=8, g=1, k=7, pattern=HALF64), 1_000_003, 3, 7862),
     ],
 )
-def test_monte_carlo_successes_are_pinned(both_sources, sc, trials, seed, successes):
-    assert both_sources(sc, trials, seed) == [successes] * 2
+def test_monte_carlo_successes_are_pinned(each_source, sc, trials, seed, successes):
+    assert each_source(sc, trials, seed) == [successes] * 3
 
 
 # -- Wilson interval ----------------------------------------------------------
