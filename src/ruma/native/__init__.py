@@ -9,17 +9,16 @@ nothing.
 
 Libraries are cached in ``$XDG_CACHE_HOME/ruma`` (``~/.cache/ruma`` when
 the variable is unset or not absolute), named for the hash of the source
-bytes and flags and for the hash of the compiler's real path, size and
-modification time. A cache hit opens no process, not even
-``cc --version``, and imports neither ``subprocess`` nor numpy. When no
-``cc`` is on ``PATH``, a library built earlier from the same source and
-flags by any compiler is used: the compiler decides when to rebuild, not
-whether a built library may load.
+bytes and flags alone. A library that exists is used, whatever ``PATH``
+holds: the lookup opens no process, not even ``cc --version``, and
+imports neither ``subprocess`` nor numpy. Only a miss looks for ``cc``.
 
 A build writes to a temporary file in the cache and moves it into place
 with ``os.replace``, so two processes building at once cannot clash. A
-failed build is recorded in the cache with the compiler's messages, and
-later calls raise the same error at once instead of compiling again.
+failed build is recorded in the cache with the compiler's messages,
+under a name that also hashes the compiler's real path, size and
+modification time: later calls raise the same error at once instead of
+compiling again, until the compiler changes.
 """
 
 from __future__ import annotations
@@ -45,15 +44,6 @@ def _digest(*parts: bytes) -> str:
     return hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
 
 
-def _find_cc():
-    """The first executable ``cc`` on ``PATH``, or None."""
-    for folder in os.environ.get("PATH", os.defpath).split(os.pathsep):
-        path = os.path.join(folder, "cc")
-        if folder and os.path.isfile(path) and os.access(path, os.X_OK):
-            return path
-    return None
-
-
 def _cache_dir() -> str:
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
@@ -68,26 +58,19 @@ def build(name: str) -> str:
     with open(source, "rb") as handle:
         code = handle.read()
     cache = _cache_dir()
-    stem = f"{name}-{_digest(code, *map(str.encode, FLAGS))}-"
-    cc = _find_cc()
+    stem = f"{name}-{_digest(code, *map(str.encode, FLAGS))}"
+    library = os.path.join(cache, stem + ".so")
+    if os.path.exists(library):
+        return library
+    import shutil
+
+    cc = shutil.which("cc")
     if cc is None:
-        try:
-            built = sorted(
-                entry for entry in os.listdir(cache)
-                if entry.startswith(stem) and entry.endswith(".so")
-            )
-        except OSError:
-            built = []
-        if built:
-            return os.path.join(cache, built[0])
         raise NativeError(f"no C compiler: no cc on PATH to build {name}.c")
     real = os.path.realpath(cc)
     info = os.stat(real)
-    stem += _digest(os.fsencode(real), b"%d %d" % (info.st_size, info.st_mtime_ns))
-    library = os.path.join(cache, stem + ".so")
-    failure = os.path.join(cache, stem + ".err")
-    if os.path.exists(library):
-        return library
+    compiler = _digest(os.fsencode(real), b"%d %d" % (info.st_size, info.st_mtime_ns))
+    failure = os.path.join(cache, f"{stem}-{compiler}.err")
     if not os.path.exists(failure):
         return _compile(cc, source, cache, library, failure)
     with open(failure, encoding="utf-8", errors="replace") as handle:

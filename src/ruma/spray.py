@@ -90,8 +90,10 @@ _MAX_CHAIN = 1_000_000
 # the raw words (512 KiB) and the byte arrays in cache.
 _BATCH_HALVES = 1 << 17
 # The most halves (trials * chain_length) monte_carlo draws from
-# ruma.philox; a longer run pays numpy's import for its faster words.
-# 2**20 is the measured crossover, not a setting.
+# ruma.philox. 2**20 is the measured crossover against numpy's import,
+# the path of a host without a compiler, not a setting. Where the
+# compiled kernel builds, runs of about 2**16 to 2**20 halves would be
+# faster on it; one constant serves both kinds of host, so it stays.
 _PYTHON_HALVES = 1 << 20
 # Chains per call of the compiled kernel: short enough calls for Ctrl-C
 # to get through between them. Odd, so that at an odd chain length every

@@ -1,6 +1,8 @@
 """The native build helper: cache hits, rebuilds and the named errors."""
 
 import ctypes
+import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from ruma.native import NativeError, build
 
 # Builds ruma.native's ``spray`` in a child process and prints the path,
 # the process starts it saw and whether subprocess or numpy got loaded.
+# Given a folder and a name as arguments, it builds that folder's source.
 CHILD_BUILD = """
 import sys
 starts = []
@@ -21,9 +24,13 @@ sys.addaudithook(
                                           "os.spawn", "os.fork", "os.system"))
     and starts.append(event)
 )
+from ruma import native
 from ruma.native import NativeError, build
+name = "spray"
+if sys.argv[1:]:
+    native._SOURCES, name = sys.argv[1:]
 try:
-    print(build("spray"))
+    print(build(name))
 except NativeError as exc:
     print("NativeError:", exc)
 print(starts)
@@ -37,17 +44,54 @@ def probe_source(tmp_path, monkeypatch, body):
     (tmp_path / "probe.c").write_text(body, encoding="utf-8")
 
 
+def wrapped_cc(folder):
+    """``folder``, holding a ``cc`` script that execs the real one: the
+    same compiler under another real path."""
+    folder.mkdir()
+    script = folder / "cc"
+    script.write_text(
+        f'#!/bin/sh\nexec {shlex.quote(shutil.which("cc"))} "$@"\n', encoding="utf-8"
+    )
+    script.chmod(0o755)
+    return folder
+
+
 @needs_cc
 def test_a_second_build_is_a_cache_hit(tmp_path):
-    # once built, the library is found with cc on PATH and with no PATH
-    # at all, and neither lookup starts a process or imports subprocess
+    # once built, the library is found with cc on PATH, with no PATH at
+    # all and with only another cc on it, since its name holds the source
+    # and the flags alone; no lookup starts a process or imports subprocess
     library = build("spray")
-    for path in ("", str(tmp_path)):
+    for path in ("", str(tmp_path), str(wrapped_cc(tmp_path / "bin"))):
         proc = run_python("-c", CHILD_BUILD, env={"PATH": path})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [library, "[]", "[]"]
     proc = run_python("-c", CHILD_BUILD)
     assert proc.stdout.splitlines() == [library, "[]", "[]"]
+
+
+@needs_cc
+def test_a_recorded_failure_is_retried_once_the_compiler_changes(
+    tmp_path, monkeypatch
+):
+    probe_source(tmp_path, monkeypatch, "int probe(void) { return 4 }\n")
+    with pytest.raises(NativeError, match="failed to build"):
+        build("probe")
+    wrapper = wrapped_cc(tmp_path / "bin") / "cc"
+    env = {"PATH": f"{wrapper.parent}{os.pathsep}{os.environ['PATH']}"}
+    args = ("-c", CHILD_BUILD, str(tmp_path), "probe")
+    outputs = []
+    for _ in range(2):
+        proc = run_python(*args, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    failed = f"NativeError: probe.c failed to build with {wrapper}"
+    # the new compiler compiles again and records its own failure ...
+    assert outputs[0][0].startswith(f"{failed} (exit ")
+    assert outputs[0][-2:] == ["['subprocess.Popen']", "['subprocess']"]
+    # ... which the next call raises at once
+    assert outputs[1][0].startswith(f"{failed} (recorded in ")
+    assert outputs[1][-2:] == ["[]", "[]"]
 
 
 @needs_cc
