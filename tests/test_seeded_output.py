@@ -19,6 +19,16 @@ FILTERED32 = (
     "address_space_bits = 32\npointer_width = 4\nfilter_bsi = on\n"
     "arena_capacity = 1073741824\n"
 )
+# capacities whose base draw Lemire rejects for these seeds (see
+# test_philox.py's _REJECT32 and _REJECT64): in 32 bits the draw takes
+# both halves of the first word, in 64 bits two whole words
+REJECT32 = "address_space_bits = 32\narena_capacity = 1040384\n"
+CONFIGS = {
+    "filtered32": FILTERED32,
+    "reject32": REJECT32,
+    "reject32-w4": REJECT32 + "pointer_width = 4\n",
+    "reject64": "address_space_bits = 64\narena_capacity = 4502500384108544\n",
+}
 
 CASES = {
     "gen-trace-small64": (
@@ -45,6 +55,29 @@ CASES = {
         "replay --trace {files}/mixed.trace --config {files}/filtered32.conf --seed 1",
         0,
         "5292898db65cf9828e66c509d5b5b09714b4fea5d977c9a06ad1fffaa7a396c6",
+    ),
+    "replay-small-reject32": (
+        "replay --trace {files}/small64.trace --config {files}/reject32.conf --seed 8301",
+        0,
+        "64848b3d5cb52e9a0323b6b37bb1145e97760970b1df32df9c73dd8c302bac16",
+    ),
+    "replay-small-reject32-w4": (
+        "replay --trace {files}/small64.trace --config {files}/reject32-w4.conf "
+        "--seed 8301",
+        0,
+        "c0152aa12216dc672f3d95a0e9da092f4295c1cd5f8fa55f1ebd7789594fa63d",
+    ),
+    "replay-small-reject64": (
+        "replay --trace {files}/small64.trace --config {files}/reject64.conf --seed 5418",
+        0,
+        "aef9c8f978036261212b351c663ca99ec9cdebf4afff66c14bd9b49ce1c45479",
+    ),
+    # the same 32-bit arena at a seed whose base draw keeps a high half,
+    # which the first offset takes
+    "replay-small32-kept": (
+        "replay --trace {files}/small64.trace --config {files}/reject32.conf --seed 1",
+        0,
+        "5040a4f0a0cd79913ba353677aeafd6cad2ed0f188c20fcdb68fdcc447f39500",
     ),
     # one side of spray._PYTHON_HALVES each: ruma.philox, then the compiled
     # kernel (numpy's words where it cannot be built; see the test below)
@@ -88,13 +121,14 @@ CASES = {
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """The two workloads' traces and the 32-bit filtered config."""
+    """The two workloads' traces and the arena configs."""
     root = tmp_path_factory.mktemp("seeded")
     for name, extra in (("small64", ""), ("mixed", MIXED)):
         argv = f"gen-trace --events {EVENTS} --seed 1 {extra} --out"
         code, _ = dispatch([*argv.split(), str(root / f"{name}.trace")])
         assert code == 0
-    (root / "filtered32.conf").write_text(FILTERED32, encoding="utf-8")
+    for name, text in CONFIGS.items():
+        (root / f"{name}.conf").write_text(text, encoding="utf-8")
     return root
 
 
