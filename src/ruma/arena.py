@@ -21,12 +21,12 @@ freed or fresh, with no BSI address in its reserve is handed out untested,
 and a withheld slot is tested again only for a span that does not cover
 its BSI address.
 
-All randomness comes from one :class:`ruma.philox.Philox` stream: numpy's
-``Generator(Philox(rng_seed))`` stream, computed in pure Python, so an
-arena imports no numpy. The base is that stream's ``integers(0, n)``, and
-each offset the top ``log2(pointer_width)`` bits of its next 32-bit half,
-which is what ``integers(0, pointer_width)`` draws, read off the half's
-top byte by one 256-byte table.
+All randomness comes from numpy's ``Generator(Philox(rng_seed))`` stream,
+computed in pure Python by :func:`ruma.philox.integers_then_tops`, so an
+arena imports no numpy. The base is that stream's first draw,
+``integers(0, n)``, and each offset the top ``log2(pointer_width)`` bits
+of its next 32-bit half, which is what ``integers(0, pointer_width)``
+draws, read off the half's top byte by one 256-byte table.
 
 An arena manages a purely virtual address range and never touches real
 memory, which makes 32-bit address space experiments cheap inside a
@@ -47,7 +47,7 @@ from pathlib import Path
 
 from .bsi import BSI_PERIOD, range_contains_bsi_counted
 from .errors import CapacityError, ConfigError, HandleError
-from .philox import Philox
+from .philox import integers_then_tops
 
 __all__ = [
     "Allocation",
@@ -78,6 +78,15 @@ def _next_pow2(n: int) -> int:
 def _spans_border(start: int, size: int, border: int) -> bool:
     # the last byte of a non-empty span lies past the next border
     return start % border + size > border
+
+
+def _base_pages(cfg) -> int:
+    """How many bases an arena of ``cfg`` draws from: its base is
+    ``PAGE_SIZE * (1 + integers(0, pages))``, below 2**47 if it fits."""
+    space = 1 << min(cfg.address_space_bits, _USER_SPACE_BITS)
+    if cfg.arena_capacity + 2 * PAGE_SIZE > space:
+        space = 1 << cfg.address_space_bits
+    return (space - cfg.arena_capacity - PAGE_SIZE) // PAGE_SIZE
 
 
 _BOOL_WORDS = {
@@ -283,13 +292,13 @@ class Arena:
         self._table = build_class_table(config.pointer_width)
         self._pad = config.pointer_width if config.randomize else 0
         self._class_reserve = [c.max_size + self._pad for c in self._table]
-        self._rng = Philox(config.rng_seed)
         # The base is drawn before any offset so that randomize on/off runs
         # of the same seed share the exact same slot layout.
-        self._base = self._pick_base()
-        # top byte -> offset; nothing is drawn until an offset is asked for
+        pages, tops = integers_then_tops(config.rng_seed, _base_pages(config))
+        self._base = PAGE_SIZE * (1 + pages)
+        # top byte -> offset
         table = bytes(b >> (9 - config.pointer_width.bit_length()) for b in range(256))
-        batches = (batch.translate(table) for batch in self._rng.tops())
+        batches = (batch.translate(table) for batch in tops)
         self._next_offset = chain.from_iterable(batches).__next__
         usable = (config.arena_capacity // PAGE_SIZE) * PAGE_SIZE
         # free pages, as sorted spans [_starts[i], _ends[i]) that never touch
@@ -307,16 +316,6 @@ class Arena:
         self._peak_reserved = 0
         self._offset_hist = [0] * config.pointer_width
         self._class_capacity = [0] * len(self._table)
-
-    # -- construction helpers -------------------------------------------
-
-    def _pick_base(self) -> int:
-        cfg = self._cfg
-        space = 1 << min(cfg.address_space_bits, _USER_SPACE_BITS)
-        if cfg.arena_capacity + 2 * PAGE_SIZE > space:
-            space = 1 << cfg.address_space_bits
-        top = space - cfg.arena_capacity - PAGE_SIZE
-        return PAGE_SIZE * (1 + self._rng.integers(top // PAGE_SIZE))
 
     # -- class/placement machinery --------------------------------------
 

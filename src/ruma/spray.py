@@ -41,7 +41,7 @@ The stream has three sources that read the same halves in the same
 order, so a seeded result does not depend on which one runs:
 
 - a run of at most ``_PYTHON_HALVES`` halves (``trials * chain_length``)
-  draws them from :class:`ruma.philox.Philox` in pure Python. numpy's
+  draws them from :func:`ruma.philox.tops` in pure Python. numpy's
   import costs about 0.15 s, and ruma.philox makes 2**20 halves in about
   0.1 s, so 2**20 is the measured crossover: at 2**21 halves the two
   were even;
@@ -220,12 +220,12 @@ def _python_successes(field: int, k: int, trials: int, seed: int) -> int:
     """The chains of ``trials`` whose ``k`` stages all read the value back,
     drawn from :mod:`ruma.philox`: the halves and batches of
     ``_numpy_successes``, computed without numpy."""
-    from .philox import Philox
+    from .philox import tops
 
     # a half's top byte -> 1 if it leaves the field clear (the field lies
     # in the top byte, since states <= 8)
     verdict = bytes((b << 24) & field == 0 for b in range(256))
-    batches = Philox(seed).tops()
+    batches = tops(seed)
     pool = bytearray()  # verdicts of drawn halves no batch has taken yet
     successes = 0
     remaining = trials

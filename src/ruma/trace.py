@@ -19,13 +19,13 @@ event list never exists in full.
 An event is a tuple ``(kind, id, size, line)``; ``size`` is None for a
 free and ``line`` is the source line, or 0 for a generated event.
 
-The generator draws from one Philox stream, :class:`ruma.philox.Philox`,
-and imports no numpy. Each step's roll, each live-id pick
-(:func:`ruma.philox.pick`) and each size's normal deviate
+The generator reads one Philox stream's raw 64-bit words,
+:func:`ruma.philox.words`, and imports no numpy. Each step's roll, each
+live-id pick (:func:`ruma.philox.pick`) and each size's normal deviate
 (:func:`ruma.philox.standard_normal`, numpy's ziggurat with numpy's
-tables) are computed from the stream's raw 64-bit words, as numpy's
-``random()``, ``integers(0, n)`` and ``lognormal`` compute them, so
-seeded traces match numpy's calls.
+tables) are computed from those words, as numpy's ``random()``,
+``integers(0, n)`` and ``lognormal`` compute them, so seeded traces
+match numpy's calls.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, TraceError, check_seed
-from .philox import Philox, pick as _pick, standard_normal
+from .philox import pick as _pick, standard_normal, words
 
 if TYPE_CHECKING:
     from .arena import Arena, ArenaConfig, ReplayStats
@@ -236,7 +236,7 @@ def generate_trace(
         raise ValueError(f"median must be positive and finite, got {median}")
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
-    raw = chain.from_iterable(Philox(seed).words()).__next__
+    raw = chain.from_iterable(words(seed)).__next__
     # numpy's lognormal is exp(mean + sigma * z). math.log and np.log differ
     # in the last bit for about 1 median in 10,000; a 1-ulp change in the
     # mean moves a size by about 2 ulps, which changes the rounded size only

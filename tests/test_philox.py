@@ -13,11 +13,14 @@ from ruma import ArenaConfig, philox
 from ruma.arena import PAGE_SIZE, Arena
 from ruma.philox import (
     _LANES,
-    Philox,
     _blocks,
     _packed_keys,
+    integers_then_tops,
+    pick,
     seed_key,
     standard_normal,
+    tops,
+    words,
 )
 
 import oracles
@@ -66,9 +69,9 @@ def test_lane_packed_blocks_match_the_scalar_reference(seed, first):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_raw_words_are_numpys_across_refills(seed):
-    ours = Philox(seed)
-    theirs = np.random.Philox(seed).random_raw(3 * 4 * _LANES + 5).tolist()
-    assert [ours.raw() for _ in theirs] == theirs
+    batches = words(seed)
+    ours = [word for _ in range(4) for word in next(batches)]
+    assert ours == np.random.Philox(seed).random_raw(4 * 4 * _LANES).tolist()
 
 
 @pytest.mark.parametrize(
@@ -83,57 +86,40 @@ def test_raw_words_are_numpys_across_refills(seed):
     ids=["small", "reject32", "widths", "reject64", "full"],
 )
 def test_integers_draw_what_numpys_integers_draws(ns):
-    ours = Philox(5)
+    raw = chain.from_iterable(words(5)).__next__
+    spare = -1
     theirs = np.random.Generator(np.random.Philox(5))
     for step in range(3000):
         n = ns[step % len(ns)]
-        assert ours.integers(n) == theirs.integers(0, n, dtype=np.uint64), step
+        value, spare = pick(raw, n, spare)
+        assert value == theirs.integers(0, n, dtype=np.uint64), step
+    assert (spare >= 0) == theirs.bit_generator.state["has_uint32"]
+    assert raw() == theirs.bit_generator.random_raw()  # the same words taken
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 8])
 def test_tops_are_numpys_power_of_two_draws(bits):
-    ours = Philox(9)
-    ours.integers(7)  # leaves a kept half, served first
-    theirs = np.random.Generator(np.random.Philox(9))
-    theirs.integers(0, 7)
-    tops = ours.tops()
-    first = next(tops)
-    assert len(first) == 1 + 2 * (4 * _LANES - 1)  # the kept half, then the rest
-    got = list(first)
-    for _ in range(3):  # whole refills, two halves per word
-        batch = next(tops)
-        assert len(batch) == 2 * 4 * _LANES
-        got += batch
-    want = theirs.integers(0, 1 << bits, size=len(got)).tolist()
-    assert [b >> (8 - bits) for b in got] == want
-
-
-def test_a_drawn_batch_leaves_the_stream_where_numpy_leaves_it():
-    ours = Philox(4)
-    theirs = np.random.Generator(np.random.Philox(4))
-    ours.integers(3)
-    theirs.integers(0, 3)
-    next(ours.tops())  # the kept half and the rest of the first batch
-    theirs.integers(0, 2, size=1 + 2 * (4 * _LANES - 1))
-    assert ours.integers(1000) == theirs.integers(0, 1000)
-    assert ours.raw() == theirs.bit_generator.random_raw()
-
-
-def test_words_are_numpys_raw_words_and_leave_a_kept_half_kept():
-    ours = Philox(6)
-    theirs = np.random.Generator(np.random.Philox(6))
-    ours.integers(5)  # leaves a kept half, which words() skips as numpy does
-    theirs.integers(0, 5)
-    batches = ours.words()
-    got = list(next(batches))
-    assert len(got) == 4 * _LANES - 1  # the rest of the first batch
-    for _ in range(2):  # whole refills
-        batch = next(batches)
-        assert len(batch) == 4 * _LANES
-        got += batch
-    assert got == theirs.bit_generator.random_raw(len(got)).tolist()
-    assert ours.integers(1000) == theirs.integers(0, 1000)  # the kept half
-    assert ours.raw() == theirs.bit_generator.random_raw()
+    # from the start, after a 32-bit draw that keeps a half, and after a
+    # 64-bit draw, which keeps none
+    for n, kept in ((None, False), (7, True), (2**40 + 3, False)):
+        theirs = np.random.Generator(np.random.Philox(9))
+        if n is None:
+            batches = tops(9)
+            head = 2 * 4 * _LANES
+        else:
+            value, batches = integers_then_tops(9, n)
+            assert value == theirs.integers(0, n, dtype=np.uint64)
+            assert theirs.bit_generator.state["buffer_pos"] == 1  # one word read
+            head = kept + 2 * (4 * _LANES - 1)  # the kept half, then the rest
+        assert theirs.bit_generator.state["has_uint32"] == kept
+        got = list(next(batches))
+        assert len(got) == head, n
+        for _ in range(3):  # whole refills, two halves per word
+            batch = next(batches)
+            assert len(batch) == 2 * 4 * _LANES
+            got += batch
+        want = theirs.integers(0, 1 << bits, size=len(got)).tolist()
+        assert [b >> (8 - bits) for b in got] == want, n
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 2**64 - 1])
@@ -153,7 +139,7 @@ def test_standard_normal_is_numpys_ziggurat(seed, monkeypatch):
 
     monkeypatch.setattr(philox, "math", SimpleNamespace(log1p=log1p, exp=exp))
     n = 200_000
-    raw = chain.from_iterable(Philox(seed).words()).__next__
+    raw = chain.from_iterable(words(seed)).__next__
     ours = [standard_normal(raw) for _ in range(n)]
     theirs = np.random.Generator(np.random.Philox(seed))
     want = theirs.standard_normal(n)
@@ -170,13 +156,11 @@ def test_an_arena_without_randomization_draws_nothing_after_its_base(
     arena = Arena(config)
     for size in (8, 100, 5000) * 300:
         arena.alloc(size)
-    theirs = np.random.Generator(np.random.Philox(config.rng_seed))
-    base, _, state = oracles.reference_arena_draws(config, 0)
-    theirs.bit_generator.state = state
+    base, offsets, _ = oracles.reference_arena_draws(config, 64)
     assert arena._base == base
-    # raw words skip a kept half, integers takes it, in both
-    assert arena._rng.raw() == theirs.bit_generator.random_raw()
-    assert arena._rng.integers(1000) == theirs.integers(0, 1000)
+    # the offsets the arena would draw next are still numpy's first ones
+    # after the base
+    assert [arena._next_offset() for _ in offsets] == offsets
 
 
 # capacities whose base draw Lemire rejects about once in 4096 seeds, with

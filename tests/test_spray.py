@@ -420,7 +420,7 @@ def test_a_run_where_every_shift_reads_back_draws_nothing(
     def no_draws(seed):
         raise AssertionError("drew from Philox")
 
-    monkeypatch.setattr(philox, "Philox", no_draws)
+    monkeypatch.setattr(philox, "_batches", no_draws)
     monkeypatch.setattr(np.random, "Philox", no_draws)
     monkeypatch.setattr(spray_module, "_native_kernel", no_draws)
     sc = scenario(width=width, g=g, k=k, pattern=pattern)
