@@ -308,6 +308,9 @@ class Arena:
         # Withheld (BSI-quarantined) slots per bin: the class index for class
         # slots, _large_key for large spans.
         self._quarantine = defaultdict(list)
+        # counters.total_allocs of the request that rejoined the withheld
+        # large spans to the free pages, while it runs
+        self._rejoined_at = -1
         self._filter = config.filter_bsi and config.address_space_bits == 32
         self._live = {}
 
@@ -342,7 +345,9 @@ class Arena:
         """Fresh slot for bin ``key`` from the free pages: for a large span,
         the top ``-key`` pages of the highest free span that fits them; for
         a class, a run on the lowest free page, whose other slots go to the
-        class's free list."""
+        class's free list. When no free span serves, the withheld large
+        spans rejoin the free pages, once per allocation, and the carve is
+        tried again."""
         starts, ends = self._starts, self._ends
         if key < 0:
             for i in range(len(ends) - 1, -1, -1):
@@ -353,9 +358,13 @@ class Arena:
                 if top == starts[i]:
                     del starts[i], ends[i]
                     return top
+            if self._rejoin_withheld():
+                return self._carve(key)
             raise CapacityError(f"arena exhausted carving {-key} pages")
         cls = self._table[key]
         if not starts:
+            if self._rejoin_withheld():
+                return self._carve(key)
             raise CapacityError(f"arena exhausted carving a run for class {cls.max_size}")
         run = starts[0]
         if run + PAGE_SIZE < ends[0]:
@@ -366,6 +375,39 @@ class Arena:
         last = run + (cls.slots_per_run - 1) * cls.stride
         self._free[key].extend(range(last, run, -cls.stride))
         return run
+
+    def _rejoin_withheld(self) -> bool:
+        """Give every withheld large span back to the free pages; True when
+        any went back. A request rejoins them once: when it runs out again
+        it fails, so a span the filter withholds again cannot come back to
+        it for ever, and the next request may rejoin them again."""
+        if self._rejoined_at == self.counters.total_allocs:
+            self._rejoined_at = -1
+            return False
+        rejoined = False
+        for key, spans in self._quarantine.items():
+            if key < 0 and spans:
+                for start in spans:
+                    self._give_back(start, start - key * PAGE_SIZE)
+                spans.clear()
+                rejoined = True
+        if rejoined:
+            self._rejoined_at = self.counters.total_allocs
+        return rejoined
+
+    def _give_back(self, start: int, end: int) -> None:
+        """Return the pages ``[start, end)`` to the free spans, merged with
+        the spans they touch."""
+        starts, ends = self._starts, self._ends
+        i = bisect_left(starts, start)
+        if i < len(starts) and starts[i] == end:  # joins the span above
+            del starts[i]
+            end = ends.pop(i)
+        if i and ends[i - 1] == start:  # joins the span below
+            ends[i - 1] = end
+        else:
+            starts.insert(i, start)
+            ends.insert(i, end)
 
     def _place(self, key: int, free, offset: int, size: int, reserved: int) -> int:
         """Filtered slot for a ``size``-byte chunk at ``offset``: a withheld
@@ -463,18 +505,9 @@ class Arena:
         if rec.size_class_index != LARGE_CLASS:
             self._free[rec.size_class_index].append(slot)
             return
-        # give the pages back, merged with the free spans they touch
-        end = slot - _large_key(rec.requested, self._cfg.pointer_width) * PAGE_SIZE
-        starts, ends = self._starts, self._ends
-        i = bisect_left(starts, slot)
-        if i < len(starts) and starts[i] == end:  # joins the span above
-            del starts[i]
-            end = ends.pop(i)
-        if i and ends[i - 1] == slot:  # joins the span below
-            ends[i - 1] = end
-        else:
-            starts.insert(i, slot)
-            ends.insert(i, end)
+        self._give_back(
+            slot, slot - _large_key(rec.requested, self._cfg.pointer_width) * PAGE_SIZE
+        )
 
     def realloc(self, alloc_id: int, new_size: int) -> Allocation:
         """Move ``alloc_id`` to a fresh placement of ``new_size`` bytes.

@@ -16,6 +16,17 @@ the first line number from one batch to the next, so ``ruma replay``
 feeds each batch's events to the arena as it parses, and the file's
 event list never exists in full.
 
+A list of lines, or a string split into one, is parsed in two steps.
+``ruma/native/trace.c``, an extension module built by
+:func:`ruma.native.load`, takes the canonical lines at the head of the
+list (``a ID SIZE``, ``r ID SIZE`` or ``f ID`` in ASCII, single spaces,
+at most 18 digits of size, live ids as the rules ask), and the Python
+loop parses every line from the first one it leaves. That loop alone
+reports errors, and alone reads comments, blank lines, other whitespace
+and non-ASCII ids, so the events and errors are the same where the
+module cannot be built (no ``cc`` or no ``Python.h``) and only the loop
+runs.
+
 An event is a tuple ``(kind, id, size, line)``; ``size`` is None for a
 free and ``line`` is the source line, or 0 for a generated event.
 
@@ -30,10 +41,11 @@ match numpy's calls.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, TraceError, check_seed
@@ -67,6 +79,18 @@ def _column(raw_line: str, tokens, index: int) -> int:
     return pos + 1
 
 
+@functools.cache
+def _kernel():
+    """``parse`` of the extension module ``ruma/native/trace.c``, or None
+    when it cannot be built or loaded."""
+    from .native import NativeError, load
+
+    try:
+        return load("trace").parse
+    except (NativeError, ImportError, OSError):
+        return None
+
+
 def parse_trace(source, live=None, first_line: int = 1) -> list:
     r"""Parse a trace from a string or an iterable of lines.
 
@@ -82,10 +106,20 @@ def parse_trace(source, live=None, first_line: int = 1) -> list:
     batches then yield the events, errors and line numbers that parsing
     the whole trace at once would.
     """
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    if isinstance(source, str):
+        lines = io.StringIO(source, newline=None).readlines()
+    else:
+        lines = source
     events = []
     if live is None:
         live = {}
+    # the kernel takes what it can from the head; the loop parses the rest
+    if isinstance(lines, list) and (kernel := _kernel()) is not None:
+        taken = kernel(lines, live, first_line, events)
+        if taken == len(lines):
+            return events
+        lines = islice(lines, taken, None)
+        first_line += taken
     append = events.append
     for lineno, raw in enumerate(lines, first_line):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import shutil
@@ -13,6 +14,30 @@ SRC = REPO_ROOT / "src"
 # The tests that compile C skip only where the host has no compiler (or,
 # for the symbol check, no nm).
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+
+
+def on_each_parse_path(test):
+    """Run ``test`` twice: with ``parse_trace``'s compiled kernel (where it
+    builds, else this run is the second one again) taking the canonical
+    lines, then with the Python loop alone, as on a host without a
+    compiler. The test keeps its name; a failure notes its path."""
+    from ruma import trace
+
+    paths = {"kernel": trace._kernel, "Python loop": lambda: None}
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for name, kernel in paths.items():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(trace, "_kernel", kernel)
+                try:
+                    test(*args, **kwargs)
+                except Exception as exc:
+                    if hasattr(exc, "add_note"):  # Python 3.11 and later
+                        exc.add_note(f"on the {name} parse path")
+                    raise
+
+    return run
 
 
 @pytest.fixture(scope="session", autouse=True)

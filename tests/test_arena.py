@@ -597,11 +597,6 @@ def test_filter_exempts_spans_of_a_full_bsi_period():
     assert oracles.table_contains(rec.start, rec.requested)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=CapacityError,
-    reason="a withheld large span stays in its quarantine bin, off the free pages",
-)
 def test_a_withheld_large_span_rejoins_the_free_pages():
     # seed 2293 puts a BSI address 2907 bytes into page 11 of 16: the
     # fifth one-page span, carved from the top, covers it and is withheld
@@ -618,6 +613,27 @@ def test_a_withheld_large_span_rejoins_the_free_pages():
     # address, so every page of the emptied arena could serve one
     for _ in range(16):
         arena.alloc(2048)
+
+
+def test_a_request_rejoins_the_withheld_spans_once():
+    # the arena of the test above, filled with 3000-byte chunks: the last
+    # request finds only the withheld page, which covers its BSI address
+    # at every offset, so it is withheld again and the request fails
+    # instead of carving it for ever; the next request rejoins it again
+    arena = make_arena(
+        address_space_bits=32, pointer_width=4, filter_bsi=True,
+        arena_capacity=16 * PAGE_SIZE, rng_seed=2293,
+    )
+    chunks = [arena.alloc(3000) for _ in range(15)]
+    for quarantined in (2, 3):
+        with pytest.raises(CapacityError, match="exhausted carving 1 pages"):
+            arena.alloc(3000)
+        assert arena.counters.bsi_quarantined == quarantined
+    # a freed page serves the next request, with no rejoin
+    arena.free(chunks[0].id)
+    again = arena.alloc(3000)
+    assert again.start - again.offset == chunks[0].start - chunks[0].offset
+    assert arena.counters.bsi_quarantined == 3
 
 
 def test_filter_off_never_checks():

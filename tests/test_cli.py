@@ -13,7 +13,7 @@ import pytest
 
 import ruma
 import ruma.trace as trace_mod
-from conftest import child_env, needs_cc, run_cli, run_python
+from conftest import child_env, needs_cc, on_each_parse_path, run_cli, run_python
 from ruma import ArenaConfig, cli, membench
 from ruma import spray as spray_module
 from ruma.cli import build_parser, dispatch, main
@@ -340,6 +340,7 @@ def _long_trace(tmp_path, tail: str, head: str = ""):
     return path, text
 
 
+@on_each_parse_path
 def test_replay_frees_across_batches_and_parses_every_event_once(tmp_path, monkeypatch):
     # ids allocated in the first batch are freed and resized in the last;
     # perfbench divides the event count by cli.parse_trace's summed time,
@@ -371,6 +372,7 @@ def test_replay_frees_across_batches_and_parses_every_event_once(tmp_path, monke
     ],
     ids=["duplicate", "dead-id", "token-count", "bad-size"],
 )
+@on_each_parse_path
 def test_replay_reports_a_late_error_as_the_whole_parse_does(tmp_path, tail, message):
     path, text = _long_trace(tmp_path, tail)
     with pytest.raises(TraceError) as whole:
@@ -380,6 +382,7 @@ def test_replay_reports_a_late_error_as_the_whole_parse_does(tmp_path, tail, mes
     assert str(streamed.value) == str(whole.value) == message
 
 
+@on_each_parse_path
 def test_a_capacity_abort_wins_over_a_malformed_later_line(tmp_path, monkeypatch, capsys):
     # replay parses each batch when it reaches it: the first event exhausts
     # the arena before the malformed last line is read
@@ -613,6 +616,19 @@ def test_numpy_commands_load_only_their_own_layers(
         proc, loaded = _run_cli_listing(package, *argv, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert loaded == [], package
+
+
+@needs_cc
+def test_replay_loads_its_parse_kernel_and_gen_trace_does_not(tmp_path):
+    (tmp_path / "t.trace").write_text("a 1 8\nf 1\n", encoding="utf-8")
+    native = {"ruma.native", "ruma.native.trace"}
+    for argv, expected in [
+        (["replay", "--trace", "t.trace"], native),
+        (["gen-trace", "--events", "10", "--out", "g.trace"], set()),
+    ]:
+        proc, loaded = _run_cli_listing("ruma", *argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert native & set(loaded) == expected
 
 
 def test_importing_ruma_loads_only_its_errors():

@@ -191,3 +191,126 @@ def test_the_sampler_calls_no_outside_function():
     ).stdout.split("\n")
     strong = [line for line in listing if line and line.split()[-2] != "w"]
     assert strong == []
+
+
+# Loads ruma.native's ``trace`` extension module in a child process and
+# prints its file, the process starts it saw and whether subprocess or
+# sysconfig got loaded; a first argument is the extension suffix to key on.
+CHILD_LOAD = """
+import sys
+starts = []
+sys.addaudithook(
+    lambda event, args: event.startswith(("subprocess.", "os.exec", "os.posix_spawn",
+                                          "os.spawn", "os.fork", "os.system"))
+    and starts.append(event)
+)
+from ruma import native
+from ruma.native import NativeError, load
+if sys.argv[1:]:
+    native._EXTENSION_SUFFIX = sys.argv[1]
+try:
+    print(load("trace").__file__)
+except NativeError as exc:
+    print("NativeError:", exc)
+print(starts)
+print(sorted(m for m in ("subprocess", "sysconfig") if m in sys.modules))
+"""
+
+
+@needs_cc
+def test_an_extension_module_hit_starts_nothing_and_needs_no_compiler():
+    module = native.load("trace")
+    assert module.__name__ == "ruma.native.trace"
+    assert module.__file__ == build("trace", extension=True)
+    assert module.__file__.endswith(native._EXTENSION_SUFFIX)
+    for path in ("", os.environ["PATH"]):
+        proc = run_python("-c", CHILD_LOAD, env={"PATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [module.__file__, "[]", "[]"]
+
+
+@needs_cc
+def test_an_extension_module_keyed_for_another_interpreter_is_not_loaded():
+    # the same source and flags, built for this interpreter, are in the
+    # cache; a Python with another suffix must not take them
+    mine = native.load("trace").__file__
+    other = ".cpython-399-x86_64-linux-gnu.so"
+    proc = run_python("-c", CHILD_LOAD, other, env={"PATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "NativeError: no C compiler: no cc on PATH to build trace.c", "[]", "[]"
+    ]
+    proc = run_python("-c", CHILD_LOAD, native._EXTENSION_SUFFIX, env={"PATH": ""})
+    assert proc.stdout.splitlines()[0] == mine
+
+
+@needs_cc
+def test_an_include_directory_without_python_h_is_a_recorded_failure(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(native, "_include_dir", lambda: str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    with pytest.raises(NativeError, match="Python.h") as first:
+        native.load("trace")
+    assert "(exit " in str(first.value)
+    with pytest.raises(NativeError, match=r"(?s)\(recorded in .*Python\.h: No such file"):
+        native.load("trace")
+    # the record names the header it lacked: once the header is there, it
+    # is a new build
+    (tmp_path / "Python.h").write_text("#error a header, but not Python's\n")
+    with pytest.raises(NativeError, match=r"(?s)\(exit .*not Python's"):
+        native.load("trace")
+
+
+@needs_cc
+@pytest.mark.skipif(shutil.which("nm") is None, reason="no nm on PATH")
+def test_the_parse_kernel_links_to_the_interpreter_alone():
+    # -DNDEBUG keeps Python.h's inline asserts from calling __assert_fail
+    listing = subprocess.run(
+        ["nm", "-D", "--undefined-only", build("trace", extension=True)],
+        capture_output=True, text=True, check=True,
+    ).stdout.split("\n")
+    fields = [line.split() for line in listing if line]
+    assert fields and all(kind in ("U", "w") for kind, _ in fields)
+    strong = [name for kind, name in fields if kind != "w"]
+    assert strong and all(name.startswith(("Py", "_Py")) for name in strong)
+
+
+# Replays the trace file named by its first argument as ``ruma replay``
+# does; a second argument is an include directory to build against.
+CHILD_REPLAY = """
+import sys
+from ruma import cli, native
+if sys.argv[2:]:
+    native._include_dir = lambda: sys.argv[2]
+sys.argv = ["ruma", "replay", "--trace", sys.argv[1], "--seed", "3"]
+cli.main()
+"""
+
+
+@needs_cc
+def test_replay_prints_the_same_bytes_where_the_kernel_does_not_build(tmp_path):
+    from ruma.trace import generate_trace, serialize_trace
+
+    trace = tmp_path / "t.trace"
+    lines = serialize_trace(generate_trace(5000, seed=3)).splitlines(keepends=True)
+    # a comment hands the rest of its batch to the Python loop
+    lines.insert(2000, "# note\n")
+    trace.write_text("".join(lines), encoding="utf-8")
+    (tmp_path / "bin").mkdir()
+    (tmp_path / "empty").mkdir()
+    outputs = {}
+    for name, args, env in [
+        ("kernel", [], {}),
+        ("no cc", [], {"PATH": str(tmp_path / "bin")}),
+        ("no Python.h", [str(tmp_path / "empty")], {}),
+    ]:
+        cache = tmp_path / name / "cache"
+        env["XDG_CACHE_HOME"] = str(cache)
+        proc = run_python("-c", CHILD_REPLAY, str(trace), *args, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs[name] = proc.stdout
+        built = sorted(p.suffix for p in cache.glob("ruma/*"))
+        assert built == {"kernel": [".so"], "no cc": [], "no Python.h": [".err"]}[name]
+    assert outputs["kernel"].startswith("{")
+    assert outputs["no cc"] == outputs["no Python.h"] == outputs["kernel"]

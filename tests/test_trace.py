@@ -2,7 +2,7 @@
 
 import io
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruma import ArenaConfig, CapacityError, cli
+from ruma import trace as trace_module
 from ruma.arena import Arena
 from ruma.errors import TraceError
 from ruma.trace import (
@@ -22,13 +23,16 @@ from ruma.trace import (
 )
 
 import oracles
+from conftest import needs_cc, on_each_parse_path
 
 
+@on_each_parse_path
 def test_parse_basic():
     events = parse_trace("a 1 32\nf 1\n")
     assert events == [("alloc", "1", 32, 1), ("free", "1", None, 2)]
 
 
+@on_each_parse_path
 def test_parse_comments_blank_lines_and_tokens():
     text = "# header\n\n  a x7 16   # inline\nr x7 64\nf x7\n"
     events = parse_trace(text)
@@ -36,6 +40,7 @@ def test_parse_comments_blank_lines_and_tokens():
     assert events[0][1] == "x7"
 
 
+@on_each_parse_path
 def test_parse_accepts_line_iterables(tmp_path):
     path = tmp_path / "t.trace"
     path.write_text("a 1 8\nf 1\n", encoding="utf-8")
@@ -68,6 +73,7 @@ def test_parse_accepts_line_iterables(tmp_path):
         ("a 5 -0\n", "bad size"),
     ],
 )
+@on_each_parse_path
 def test_parse_errors_carry_position(text, fragment):
     with pytest.raises(TraceError) as err:
         parse_trace(text)
@@ -86,6 +92,7 @@ def test_parse_errors_carry_position(text, fragment):
         ("a 1 8\nr 1 +8\n", 2, 5),
     ],
 )
+@on_each_parse_path
 def test_parse_error_columns_point_at_the_token(text, line, column):
     # a file handle yields its lines with the newline still on
     for source in (text, io.StringIO(text)):
@@ -103,6 +110,7 @@ def test_parse_error_columns_point_at_the_token(text, line, column):
     ],
     ids=["comments", "crlf", "generated"],
 )
+@on_each_parse_path
 def test_parse_sources_agree(text):
     # str, file handle and kept line ends: same events on the same lines
     expected = parse_trace(text)
@@ -127,6 +135,7 @@ def test_parse_sources_agree(text):
     ],
     ids=["ff-newline", "ff", "cr", "vt", "fs", "nel", "ls"],
 )
+@on_each_parse_path
 def test_str_file_and_replay_read_the_same_lines(text, tmp_path, monkeypatch):
     path = tmp_path / "t.trace"
     path.write_bytes(text.encode("utf-8"))
@@ -159,6 +168,7 @@ def test_str_file_and_replay_read_the_same_lines(text, tmp_path, monkeypatch):
     assert outcome(via_replay) == from_file
 
 
+@on_each_parse_path
 def test_parse_in_batches_matches_the_whole_trace():
     # the live ids and the line count carry over, so a batch boundary
     # anywhere, even between an alloc and its free, changes nothing
@@ -171,17 +181,20 @@ def test_parse_in_batches_matches_the_whole_trace():
         assert first + parse_trace(lines[cut:], live, cut + 1) == expected
 
 
+@on_each_parse_path
 def test_id_reusable_after_free():
     events = parse_trace("a 1 8\nf 1\na 1 16\n")
     assert events[2][2] == 16
 
 
+@on_each_parse_path
 def test_parse_keeps_one_str_per_id():
     # a free or realloc holds its alloc's id object, not split()'s equal copy
     alloc, realloc, free = parse_trace("a x17 8\nr x17 16\nf x17\n")
     assert realloc[1] is alloc[1] and free[1] is alloc[1]
 
 
+@on_each_parse_path
 def test_serialize_parse_round_trip_is_canonical_text():
     text = "# top\na 1 32\n\nf   1  # done\na 2 8\n"
     assert serialize_trace(parse_trace(text)) == "a 1 32\nf 1\na 2 8\n"
@@ -221,11 +234,136 @@ def _valid_events(choices):
         max_size=60,
     )
 )
+@on_each_parse_path
 def test_round_trip_property(choices):
     events = _valid_events(choices)
     assert parse_trace(serialize_trace(events)) == events
 
 
+# -- the compiled kernel and the Python loop -------------------------------
+
+KERNEL = trace_module._kernel
+
+
+@needs_cc
+def test_the_parse_kernel_builds_where_there_is_a_compiler():
+    # otherwise on_each_parse_path would run the Python loop twice
+    assert KERNEL() is not None
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """The compiled ``parse``; the test skips where it does not build."""
+    found = KERNEL()
+    if found is None:
+        pytest.skip("the parse kernel does not build here")
+    return found
+
+
+def test_the_kernel_takes_the_canonical_head(kernel):
+    lines = [
+        "a 1 8\n", "a ~!$x 0\n", "r 1 123456789012345678\n", "a 2 007", "f ~!$x\n",
+        "a 1 8\n",  # 1 is still live: the kernel stops here
+        "f 2\n",
+    ]
+    live, events = {}, []
+    assert kernel(lines, live, 7, events) == 5
+    assert events == [
+        ("alloc", "1", 8, 7),
+        ("alloc", "~!$x", 0, 8),
+        ("realloc", "1", 123456789012345678, 9),
+        ("alloc", "2", 7, 10),
+        ("free", "~!$x", None, 11),
+    ]
+    assert events[2][1] is events[0][1] and events[4][1] is events[1][1]
+    assert live == {"1": "1", "2": "2"} and live["1"] is events[0][1]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "", "\n", "# a 1 8\n", "a 1 8 # c\n", "a 1 8#c\n", "a x#y 8\n", "a #\n",
+        " a 1 8\n", "a  1 8\n", "a 1  8\n", "a 1 8 \n", "a\t1 8\n", "a 1 8\r\n",
+        "a 1 8\r", "a 1 8\n\n", "a 1\x0b8\n", "a 1 8\x85", "a \u00e9 8\n",
+        "a 1 \u0663\n", "a 1 1234567890123456789\n", "a 1 -8\n", "a 1 +8\n",
+        "a 1 8x\n", "a 1\n", "a 1 8 9\n", "f 1 8\n", "A 1 8\n", "x 1 8\n",
+        "r 1 8\n", "f 1\n", "f 1", "f\n",
+    ],
+)
+def test_the_kernel_leaves_every_other_line_to_the_loop(kernel, line):
+    live, events = {}, []
+    assert kernel([line, "a 2 8\n"], live, 1, events) == 0
+    assert (live, events) == ({}, [])
+
+
+def test_the_kernel_takes_nothing_but_str_lines_in_a_list_with_a_dict(kernel):
+    events = []
+    for lines, live in [
+        ([b"a 1 8\n"], {}),
+        ([None], {}),
+        (("a 1 8\n",), {}),
+        (["a 1 8\n"], OrderedDict()),
+        ([type("Line", (str,), {})("a 1 8\n")], {}),
+    ]:
+        assert kernel(lines, live, 1, events) == 0
+        assert (live, events) == (type(live)(), [])
+
+
+_IDS = st.sampled_from(["1", "2", "3", "10", "x#y", "#", "\u00e9", "~!$"])
+_SIZES = st.one_of(
+    st.integers(0, 300).map(str),
+    st.integers(10**17, 10**19 - 1).map(str),  # 18 and 19 digits
+    st.sampled_from(["007", "-4", "-0", "+8", "1_0", "x", "\u0663"]),
+)
+
+
+@st.composite
+def _trace_lines(draw):
+    """A trace line over a few ids, so that an id is often already live or
+    not live: three in four spelt canonically, the others spelt in any of
+    the ways the loop alone reads or rejects."""
+    kind = draw(st.sampled_from("aaarrf"))
+    parts = [kind, draw(_IDS)]
+    if draw(st.integers(0, 3)):
+        if kind != "f":
+            parts.append(str(draw(st.integers(0, 300))))
+        return " ".join(parts) + draw(st.sampled_from(["\n", ""]))
+    parts[0] = draw(st.sampled_from(["a", "r", "f", "x", "A", ""]))
+    if parts[0] != "f" or draw(st.booleans()):
+        parts.append(draw(_SIZES))
+    line = draw(st.sampled_from([" ", " ", "  ", "\t"])).join(parts) + draw(
+        st.sampled_from(["\n", "", "\r\n", " \n", " # c\n", "#c\n", "\r"])
+    )
+    return draw(st.sampled_from([line, line, "\n", "# note\n", "\t\n"]))
+
+
+def _parsed_in_batches(lines, cuts, kernel):
+    """The events and final live ids of ``lines`` parsed in batches split at
+    ``cuts``, with ``kernel`` as parse_trace's kernel; or the error's text,
+    line and column."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace_module, "_kernel", lambda: kernel)
+        live, events, first = {}, [], 0
+        try:
+            for end in [*sorted(cuts), len(lines)]:
+                events += parse_trace(lines[first:end], live, first + 1)
+                first = max(first, end)
+        except TraceError as exc:
+            return str(exc), exc.line, exc.column
+        return events, live
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_trace_lines(), max_size=40),
+    st.lists(st.integers(0, 40), max_size=3),
+)
+def test_the_kernel_then_the_loop_parse_as_the_loop_alone(kernel, lines, cuts):
+    expected = _parsed_in_batches(lines, cuts, None)
+    assert _parsed_in_batches(lines, cuts, kernel) == expected
+
+
+@on_each_parse_path
 def test_replay_conservation_and_histogram():
     events = parse_trace("a 1 10\na 2 300\nr 2 20\na 3 5000\nf 1\n")
     stats = replay(events, ArenaConfig(rng_seed=3))
@@ -236,6 +374,7 @@ def test_replay_conservation_and_histogram():
     assert stats.peak_reserved >= stats.reserved_bytes
 
 
+@on_each_parse_path
 def test_replay_all_freed_ends_empty():
     events = parse_trace("a 1 40\na 2 40\nf 2\nf 1\n")
     stats = replay(events, ArenaConfig(rng_seed=4))
@@ -256,6 +395,7 @@ def test_replay_baseline_is_strict():
     assert [c["live"] for c in on.per_class] == [c["live"] for c in off.per_class]
 
 
+@on_each_parse_path
 def test_replay_capacity_abort_reports_position():
     events = parse_trace("a 1 4096\na 2 4096\na 3 4096\n")
     with pytest.raises(CapacityError) as err:
@@ -287,6 +427,7 @@ def test_replay_into_checks_liveness_of_hand_built_events(events, message):
     assert str(err.value) == message
 
 
+@on_each_parse_path
 def test_replay_into_exposes_arena():
     arena = Arena(ArenaConfig(rng_seed=6))
     stats = replay_into(arena, parse_trace("a 1 24\n"))
@@ -294,6 +435,7 @@ def test_replay_into_exposes_arena():
     assert stats.live_bytes == 24
 
 
+@on_each_parse_path
 def test_generator_is_seed_deterministic_and_small_heavy():
     a = generate_trace(20_000, seed=12)
     b = generate_trace(20_000, seed=12)
