@@ -13,13 +13,17 @@ pages of the highest free span that fits it, with the random offset applied
 and no border handling beyond that; freeing it returns its pages to the
 pool, merged with their free neighbours.
 
-A 32-bit arena with ``filter_bsi`` withholds any slot whose outgoing span
-would cover a byte-shift-independent address (see :mod:`ruma.bsi`). Spans
-of ``BSI_PERIOD`` bytes or more are exempt and never checked: every such
-span covers one, so no placement could pass the filter. Any candidate slot,
-freed or fresh, with no BSI address in its reserve is handed out untested,
-and a withheld slot is tested again only for a span that does not cover
-its BSI address.
+A 32-bit arena with ``filter_bsi`` hands out no chunk that covers a
+byte-shift-independent address (see :mod:`ruma.bsi`). A class slot whose
+outgoing span would cover one is withheld, and tested again only for a span
+that does not cover its BSI address. A large chunk that would cover a BSI
+address ``b`` moves down instead, to the highest page-aligned slot whose
+chunk ends at or below ``b``, in the same free span and then in the lower
+ones; the pages it passes over stay free. So a large request fails only
+when no free span has room for it between two BSI addresses. Spans of
+``BSI_PERIOD`` bytes or more are exempt and never checked: every such span
+covers one, so no placement could pass the filter. Any candidate slot,
+freed or fresh, with no BSI address in its reserve is handed out untested.
 
 All randomness comes from numpy's ``Generator(Philox(rng_seed))`` stream,
 computed in pure Python by :func:`ruma.philox.integers_then_tops`, so an
@@ -40,13 +44,12 @@ independent. Nothing here locks.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 
 from .bsi import BSI_PERIOD, range_contains_bsi_counted
-from .errors import CapacityError, ConfigError, HandleError
+from .errors import CapacityError, ConfigError, HandleError, check_seed
 from .philox import integers_then_tops
 
 __all__ = [
@@ -120,10 +123,10 @@ class ArenaConfig:
             raise ConfigError(
                 f"address_space_bits must be 32 or 64, got {self.address_space_bits}"
             )
-        if not 0 <= self.rng_seed < 1 << 64:
-            raise ConfigError(
-                f"rng_seed must fit in an unsigned 64-bit integer, got {self.rng_seed}"
-            )
+        try:
+            check_seed(self.rng_seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.arena_capacity <= 0:
             raise ConfigError("arena_capacity must be positive")
         # Room is needed for a page-aligned base strictly inside the space.
@@ -200,10 +203,10 @@ _CLASS_OF = [
 ]
 
 
-def _large_key(size: int, pointer_width: int) -> int:
-    """Quarantine bin of a large chunk: minus its page count. The pad is
-    always counted, so that randomize on and off keep identical geometry."""
-    return -((size + pointer_width - 1) // PAGE_SIZE + 1)
+def _large_pages(size: int, pointer_width: int) -> int:
+    """Pages a large chunk takes. The pad is always counted, so that
+    randomize on and off keep identical geometry."""
+    return (size + pointer_width - 1) // PAGE_SIZE + 1
 
 
 def build_class_table(pointer_width: int):
@@ -240,9 +243,11 @@ class ArenaCounters:
     total_allocs: int = 0  # also the id of the last allocation
     aligned_allocs: int = 0
     promotions: int = 0
-    # spans actually passed to the BSI range test
+    # spans actually passed to the BSI range test, and the values it tested
     bsi_span_checks: int = 0
     bsi_candidates: int = 0
+    # candidates the filter refused: class slots it withheld, and large
+    # slots it moved below the BSI address they would cover
     bsi_quarantined: int = 0
     # Chunks whose size made a border guarantee apply but that straddled
     # anyway. Placement is structural, so these must stay at zero.
@@ -305,12 +310,7 @@ class Arena:
         self._starts = [self._base] if usable else []
         self._ends = [self._base + usable] if usable else []
         self._free = [[] for _ in self._table]  # free slots per class
-        # Withheld (BSI-quarantined) slots per bin: the class index for class
-        # slots, _large_key for large spans.
-        self._quarantine = defaultdict(list)
-        # counters.total_allocs of the request that rejoined the withheld
-        # large spans to the free pages, while it runs
-        self._rejoined_at = -1
+        self._quarantine = [[] for _ in self._table]  # withheld slots per class
         self._filter = config.filter_bsi and config.address_space_bits == 32
         self._live = {}
 
@@ -341,90 +341,73 @@ class Arena:
         self.counters.bsi_candidates += checked
         return hit
 
-    def _carve(self, key: int) -> int:
-        """Fresh slot for bin ``key`` from the free pages: for a large span,
-        the top ``-key`` pages of the highest free span that fits them; for
-        a class, a run on the lowest free page, whose other slots go to the
-        class's free list. When no free span serves, the withheld large
-        spans rejoin the free pages, once per allocation, and the carve is
-        tried again."""
+    def _carve_run(self, ci: int) -> int:
+        """A fresh run for class ``ci`` on the lowest free page; its other
+        slots go to the class's free list."""
         starts, ends = self._starts, self._ends
-        if key < 0:
-            for i in range(len(ends) - 1, -1, -1):
-                top = ends[i] + key * PAGE_SIZE
-                if top > starts[i]:
-                    ends[i] = top
-                    return top
-                if top == starts[i]:
-                    del starts[i], ends[i]
-                    return top
-            if self._rejoin_withheld():
-                return self._carve(key)
-            raise CapacityError(f"arena exhausted carving {-key} pages")
-        cls = self._table[key]
+        cls = self._table[ci]
         if not starts:
-            if self._rejoin_withheld():
-                return self._carve(key)
             raise CapacityError(f"arena exhausted carving a run for class {cls.max_size}")
         run = starts[0]
         if run + PAGE_SIZE < ends[0]:
             starts[0] = run + PAGE_SIZE
         else:
             del starts[0], ends[0]
-        self._class_capacity[key] += cls.slots_per_run
+        self._class_capacity[ci] += cls.slots_per_run
         last = run + (cls.slots_per_run - 1) * cls.stride
-        self._free[key].extend(range(last, run, -cls.stride))
+        self._free[ci].extend(range(last, run, -cls.stride))
         return run
 
-    def _rejoin_withheld(self) -> bool:
-        """Give every withheld large span back to the free pages; True when
-        any went back. A request rejoins them once: when it runs out again
-        it fails, so a span the filter withholds again cannot come back to
-        it for ever, and the next request may rejoin them again."""
-        if self._rejoined_at == self.counters.total_allocs:
-            self._rejoined_at = -1
-            return False
-        rejoined = False
-        for key, spans in self._quarantine.items():
-            if key < 0 and spans:
-                for start in spans:
-                    self._give_back(start, start - key * PAGE_SIZE)
-                spans.clear()
-                rejoined = True
-        if rejoined:
-            self._rejoined_at = self.counters.total_allocs
-        return rejoined
-
-    def _give_back(self, start: int, end: int) -> None:
-        """Return the pages ``[start, end)`` to the free spans, merged with
-        the spans they touch."""
+    def _carve_pages(self, pages: int, offset: int, size: int) -> int:
+        """Slot for a large ``size``-byte chunk at ``offset``: the top
+        ``pages`` pages of the highest free span that fits them. Under the
+        filter, a candidate whose chunk would cover a BSI address ``b``
+        moves down to the highest slot whose chunk ends at or below ``b``,
+        in its span and then in the lower ones; the pages above a slot so
+        carved stay free. A candidate with no BSI address in its first
+        ``size + pad`` bytes is taken untested."""
         starts, ends = self._starts, self._ends
-        i = bisect_left(starts, start)
-        if i < len(starts) and starts[i] == end:  # joins the span above
-            del starts[i]
-            end = ends.pop(i)
-        if i and ends[i - 1] == start:  # joins the span below
-            ends[i - 1] = end
-        else:
-            starts.insert(i, start)
-            ends.insert(i, end)
+        length = pages * PAGE_SIZE
+        # every slot is taken untested where no filter applies
+        reserved = size + self._pad if self._filter and size < BSI_PERIOD else 0
+        for i in range(len(ends) - 1, -1, -1):
+            slot = ends[i] - length
+            while slot >= starts[i]:
+                if -slot % BSI_PERIOD >= reserved or not self._filter_span(
+                    slot + offset, size
+                ):
+                    end = slot + length
+                    if slot > starts[i]:
+                        if end < ends[i]:  # the pages above stay free
+                            starts.insert(i + 1, end)
+                            ends.insert(i + 1, ends[i])
+                        ends[i] = slot
+                    elif end < ends[i]:
+                        starts[i] = end
+                    else:
+                        del starts[i], ends[i]
+                    return slot
+                self.counters.bsi_quarantined += 1
+                bsi = slot + offset + -(slot + offset) % BSI_PERIOD
+                slot = (bsi - offset - size) // PAGE_SIZE * PAGE_SIZE
+        raise CapacityError(f"arena exhausted carving {pages} pages")
 
-    def _place(self, key: int, free, offset: int, size: int, reserved: int) -> int:
-        """Filtered slot for a ``size``-byte chunk at ``offset``: a withheld
-        slot the filter now passes, else the last slot freed to ``free``,
-        else a fresh one. ``offset + size <= reserved`` always holds, so a
-        slot with no BSI address in its first ``reserved`` bytes goes out
-        untested, and a withheld slot whose BSI address, ``-slot % BSI_PERIOD``
-        bytes in, lies inside the span is passed over untested: the test
-        would fail."""
-        quarantined = self._quarantine[key]
+    def _place(self, ci: int, offset: int, size: int, reserved: int) -> int:
+        """Filtered slot of class ``ci`` for a ``size``-byte chunk at
+        ``offset``: a withheld slot the filter now passes, else the class's
+        last freed slot, else a fresh one. ``offset + size <=
+        reserved`` always holds, so a slot with no BSI address in its first
+        ``reserved`` bytes goes out untested, and a withheld slot whose BSI
+        address, ``-slot % BSI_PERIOD`` bytes in, lies inside the span is
+        passed over untested: the test would fail."""
+        quarantined, free = self._quarantine[ci], self._free[ci]
         for i, slot in enumerate(quarantined):
             if offset <= -slot % BSI_PERIOD < offset + size:
                 continue
             if not self._filter_span(slot + offset, size):
                 return quarantined.pop(i)
         while True:
-            slot = free.pop() if free else self._carve(key)
+            slot = free.pop() if free else self._carve_run(ci)
             if -slot % BSI_PERIOD >= reserved or not self._filter_span(
                 slot + offset, size
             ):
@@ -462,17 +445,16 @@ class Arena:
             offset = self._next_offset()
 
         if ci == LARGE_CLASS:
-            key = _large_key(size, cfg.pointer_width)
             reserved = size + self._pad
-            free = ()  # freed large spans go back to the free pages
+            pages = _large_pages(size, cfg.pointer_width)
+            start = self._carve_pages(pages, offset, size) + offset
         else:
-            key = ci
             reserved = self._class_reserve[ci]
-            free = self._free[ci]
-        if self._filter and size < BSI_PERIOD:
-            start = self._place(key, free, offset, size, reserved) + offset
-        else:
-            start = (free.pop() if free else self._carve(key)) + offset
+            if self._filter:
+                start = self._place(ci, offset, size, reserved) + offset
+            else:
+                free = self._free[ci]
+                start = (free.pop() if free else self._carve_run(ci)) + offset
         counters = self.counters
         if align is not None:
             counters.aligned_allocs += 1
@@ -505,9 +487,18 @@ class Arena:
         if rec.size_class_index != LARGE_CLASS:
             self._free[rec.size_class_index].append(slot)
             return
-        self._give_back(
-            slot, slot - _large_key(rec.requested, self._cfg.pointer_width) * PAGE_SIZE
-        )
+        # its pages rejoin the free spans, merged with the spans they touch
+        end = slot + _large_pages(rec.requested, self._cfg.pointer_width) * PAGE_SIZE
+        starts, ends = self._starts, self._ends
+        i = bisect_left(starts, slot)
+        if i < len(starts) and starts[i] == end:  # joins the span above
+            del starts[i]
+            end = ends.pop(i)
+        if i and ends[i - 1] == slot:  # joins the span below
+            ends[i - 1] = end
+        else:
+            starts.insert(i, slot)
+            ends.insert(i, end)
 
     def realloc(self, alloc_id: int, new_size: int) -> Allocation:
         """Move ``alloc_id`` to a fresh placement of ``new_size`` bytes.

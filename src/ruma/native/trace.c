@@ -119,7 +119,7 @@ static int take(PyObject *line, PyObject *live, Py_ssize_t lineno, PyObject *eve
     return appended < 0 ? -1 : 1;
 }
 
-static PyObject *parse(PyObject *self, PyObject *args)
+static PyObject *parse(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *lines, *live, *events;
     Py_ssize_t first_line, taken = 0;
@@ -151,8 +151,11 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "trace",
-    "The canonical-line kernel of ruma.trace.parse_trace.", -1, methods,
+    PyModuleDef_HEAD_INIT,
+    .m_name = "trace",
+    .m_doc = "The canonical-line kernel of ruma.trace.parse_trace.",
+    .m_size = -1,
+    .m_methods = methods,
 };
 
 PyMODINIT_FUNC PyInit_trace(void)

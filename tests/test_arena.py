@@ -426,7 +426,7 @@ def test_spans_border_matches_the_oracle():
 def test_border_rule_violations_are_counted(monkeypatch, size, at, violations, straddles):
     # force the chunk across the one border its size is guaranteed to avoid
     arena = make_arena(randomize=False, rng_seed=35)
-    monkeypatch.setattr(arena, "_carve", lambda *_: arena._base + at)
+    monkeypatch.setattr(arena, "_carve_run", lambda *_: arena._base + at)
     arena.alloc(size)
     c = arena.counters
     assert (c.line_rule_violations, c.page_rule_violations) == violations
@@ -597,16 +597,24 @@ def test_filter_exempts_spans_of_a_full_bsi_period():
     assert oracles.table_contains(rec.start, rec.requested)
 
 
-def test_a_withheld_large_span_rejoins_the_free_pages():
-    # seed 2293 puts a BSI address 2907 bytes into page 11 of 16: the
-    # fifth one-page span, carved from the top, covers it and is withheld
-    arena = make_arena(
+def _arena_with_bsi_in_page_11():
+    # seed 2293 puts a BSI address 2907 bytes into page 11 of 16
+    return make_arena(
         address_space_bits=32, pointer_width=4, filter_bsi=True,
         arena_capacity=16 * PAGE_SIZE, rng_seed=2293,
     )
+
+
+def test_a_large_span_moves_below_the_bsi_address_it_would_cover():
+    # the fifth one-page span, carved from the top, would cover the address,
+    # so it moves down to page 10, and page 11 stays free
+    arena = _arena_with_bsi_in_page_11()
     ids = []
     while not arena.counters.bsi_quarantined:
         ids.append(arena.alloc(3000).id)
+    fifth = arena.live_allocations()[-1]
+    assert len(ids) == 5
+    assert fifth.start - fifth.offset == arena._base + 10 * PAGE_SIZE
     for alloc_id in ids:
         arena.free(alloc_id)
     # a 2048-byte chunk's run fills a page, and its span ends before the
@@ -615,25 +623,36 @@ def test_a_withheld_large_span_rejoins_the_free_pages():
         arena.alloc(2048)
 
 
-def test_a_request_rejoins_the_withheld_spans_once():
-    # the arena of the test above, filled with 3000-byte chunks: the last
-    # request finds only the withheld page, which covers its BSI address
-    # at every offset, so it is withheld again and the request fails
-    # instead of carving it for ever; the next request rejoins it again
-    arena = make_arena(
-        address_space_bits=32, pointer_width=4, filter_bsi=True,
-        arena_capacity=16 * PAGE_SIZE, rng_seed=2293,
-    )
+def test_a_large_request_fails_only_when_every_free_page_covers_its_bsi_address():
+    # filled with 3000-byte chunks, the arena keeps only page 11 free, which
+    # covers the address at every offset, so the last request fails
+    arena = _arena_with_bsi_in_page_11()
     chunks = [arena.alloc(3000) for _ in range(15)]
-    for quarantined in (2, 3):
-        with pytest.raises(CapacityError, match="exhausted carving 1 pages"):
-            arena.alloc(3000)
-        assert arena.counters.bsi_quarantined == quarantined
-    # a freed page serves the next request, with no rejoin
+    assert {c.start - c.offset for c in chunks} == {
+        arena._base + page * PAGE_SIZE for page in range(16) if page != 11
+    }
+    with pytest.raises(CapacityError, match="exhausted carving 1 pages"):
+        arena.alloc(3000)
+    # a freed page serves the next request
     arena.free(chunks[0].id)
     again = arena.alloc(3000)
     assert again.start - again.offset == chunks[0].start - chunks[0].offset
-    assert arena.counters.bsi_quarantined == 3
+
+
+@pytest.mark.parametrize("size", [15 << 20, 16 << 20, (16 << 20) + PAGE_SIZE])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_gap_between_bsi_addresses_serves_a_large_chunk(size, seed):
+    # each 16.06 MiB gap between BSI addresses holds one such chunk, and a
+    # 1 GiB arena spans about 64 gaps
+    arena = make_arena(
+        address_space_bits=32, pointer_width=4, filter_bsi=True,
+        arena_capacity=1 << 30, rng_seed=seed,
+    )
+    chunks = [arena.alloc(size) for _ in range(16)]
+    assert arena.counters.bsi_quarantined > 0
+    for rec in chunks:
+        assert not oracles.table_contains(rec.start, rec.requested)
+    oracles.assert_live_disjoint(chunks)
 
 
 def test_filter_off_never_checks():

@@ -3,7 +3,9 @@ checked after every step against a dict of what the live set must be.
 
 The model derives each chunk's class and reserve from the class table and
 the request alone, and counts the aligned allocs that succeeded.
-Capacities are small, so ``CapacityError`` paths run too.
+Capacities are small, so ``CapacityError`` paths run too, and each refusal
+is checked against the free spans: it must leave no room the request could
+have taken.
 
 Class runs and large spans share the arena's free pages. A class run takes
 the lowest free page, so the runs fill the lowest pages from the base, the
@@ -45,6 +47,7 @@ class ArenaModel(RuleBasedStateMachine):
         self.cfg = config
         self.table = self.arena.size_class_table
         self.pad = config.pointer_width if config.randomize else 0
+        self.filtered = config.filter_bsi and config.address_space_bits == 32
         self.model = {}  # id -> (requested, class index)
         self.aligned = self.promoted = self.peak = 0
         self.runs_at_base = True  # cleared once a large span holds the next page
@@ -69,17 +72,34 @@ class ArenaModel(RuleBasedStateMachine):
             c["capacity"] // cls.slots_per_run for c, cls in zip(per_class, self.table)
         )
 
+    def _pages(self, size: int) -> int:
+        return (size + self.cfg.pointer_width - 1) // PAGE_SIZE + 1
+
     def _large_spans(self):
-        """[start, end) of every large span out of the free pages: the live
-        ones and the withheld ones."""
-        pw = self.cfg.pointer_width
+        """[start, end) of every live large chunk's pages."""
         for a in self.arena.live_allocations():
             if a.size_class_index == LARGE_CLASS:
                 slot = a.start - a.offset
-                yield slot, slot + ((a.requested + pw - 1) // PAGE_SIZE + 1) * PAGE_SIZE
-        for key, slots in self.arena._quarantine.items():
-            if key < 0:
-                yield from ((slot, slot - key * PAGE_SIZE) for slot in slots)
+                yield slot, slot + self._pages(a.requested) * PAGE_SIZE
+
+    def _free_spans(self):
+        return list(zip(self.arena._starts, self.arena._ends))
+
+    def _check_refusal(self, size: int, align) -> None:
+        """A class request is refused only when no free page is left. A
+        large one only when no free span holds its pages whole, or in a
+        filtered arena, one page more strictly between two consecutive BSI
+        addresses, so that some page-aligned slot fits at any offset."""
+        spans = self._free_spans()
+        if self._class_for(size, align) != LARGE_CLASS:
+            assert not spans, f"class request of {size} refused with pages free"
+            return
+        need = (self._pages(size) + self.filtered) * PAGE_SIZE
+        for start, end in spans:
+            cuts = [b for b in oracles.BSI_TABLE if start <= b < end and self.filtered]
+            parts = zip([start] + [b + 1 for b in cuts], cuts + [end])
+            room = max(hi - lo for lo, hi in parts)
+            assert room < need, f"{size} bytes refused with {room} free at {start:#x}"
 
     def _record(self, rec, align) -> None:
         ci = self._class_for(rec.requested, align)
@@ -97,6 +117,7 @@ class ArenaModel(RuleBasedStateMachine):
         try:
             rec = self.arena.alloc(size, align=align)
         except CapacityError:
+            self._check_refusal(size, align)
             return
         self.peak = max(self.peak, self._total_reserved() + rec.reserved)
         self._record(rec, align)
@@ -125,6 +146,7 @@ class ArenaModel(RuleBasedStateMachine):
         try:
             rec = self.arena.realloc(alloc_id, size)
         except CapacityError:
+            self._check_refusal(size, None)
             return
         self.peak = max(self.peak, self._total_reserved() + rec.reserved)
         del self.model[alloc_id]
@@ -191,8 +213,24 @@ class ArenaModel(RuleBasedStateMachine):
         )
 
     @invariant()
+    def free_spans_hold_the_pages_nothing_else_holds(self):
+        # sorted, never touching, page-aligned and inside the arena; with
+        # the class runs and the live large chunks, they hold every page
+        base = self.arena._base
+        usable = self.cfg.arena_capacity // PAGE_SIZE * PAGE_SIZE
+        spans = self._free_spans()
+        bounds = [x for span in spans for x in span]
+        assert bounds == sorted(set(bounds))
+        assert all(x % PAGE_SIZE == 0 and base <= x <= base + usable for x in bounds)
+        large = sorted(self._large_spans())
+        held = sorted(spans + large)
+        for (s1, e1), (s2, _) in zip(held, held[1:]):
+            assert e1 <= s2, f"free span and large chunk overlap at {s2:#x}"
+        assert sum(e - s for s, e in held) + self._run_pages() * PAGE_SIZE == usable
+
+    @invariant()
     def filtered_spans_miss_bsi(self):
-        if not (self.cfg.filter_bsi and self.cfg.address_space_bits == 32):
+        if not self.filtered:
             return
         for a in self.arena.live_allocations():
             if a.requested < BSI_PERIOD:

@@ -426,11 +426,14 @@ def test_replay_holds_less_than_the_parsed_event_list(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", ["gen-trace --events 5", "spray-sim --pattern ff --trials 1"]
+    "argv",
+    ["gen-trace --events 5", "spray-sim --pattern ff --trials 1", "replay --trace {trace}"],
 )
-def test_negative_seed_from_the_environment_is_named(argv, monkeypatch, capsys):
+def test_negative_seed_from_the_environment_is_named(argv, tmp_path, monkeypatch, capsys):
+    trace = tmp_path / "t.trace"
+    trace.write_text("a 1 8\n", encoding="utf-8")
     monkeypatch.setenv("RUMA_SEED", "-1")
-    monkeypatch.setattr("sys.argv", ["ruma", *argv.split()])
+    monkeypatch.setattr("sys.argv", ["ruma", *argv.format(trace=trace).split()])
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 2
@@ -468,9 +471,8 @@ def test_seeds_beyond_64_bits_exit_2_by_name(argv, via, tmp_path, monkeypatch, c
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 2
-    name = "rng_seed" if argv[0] == "replay" else "seed"
     assert capsys.readouterr().err == (
-        f"ruma: error: {name} must fit in an unsigned 64-bit integer, got {seed}\n"
+        f"ruma: error: seed must fit in an unsigned 64-bit integer, got {seed}\n"
     )
 
 

@@ -193,6 +193,23 @@ def test_the_sampler_calls_no_outside_function():
     assert strong == []
 
 
+@needs_cc
+@pytest.mark.parametrize("name, extension", [("spray", False), ("trace", True)])
+def test_the_c_sources_compile_without_a_warning(name, extension, tmp_path):
+    command = [shutil.which("cc"), *native.FLAGS, "-Wall", "-Wextra", "-Werror"]
+    if extension:
+        include = native._include_dir()
+        if not os.path.exists(os.path.join(include, "Python.h")):
+            pytest.skip(f"no Python.h in {include}")
+        command += [*native.EXTENSION_FLAGS, f"-I{include}"]
+    source = os.path.join(native._SOURCES, f"{name}.c")
+    built = subprocess.run(
+        [*command, source, "-o", str(tmp_path / f"{name}.so")],
+        capture_output=True, text=True,
+    )
+    assert (built.returncode, built.stderr) == (0, "")
+
+
 # Loads ruma.native's ``trace`` extension module in a child process and
 # prints its file, the process starts it saw and whether subprocess or
 # sysconfig got loaded; a first argument is the extension suffix to key on.
