@@ -357,6 +357,26 @@ def test_a_growing_chunk_reuses_its_freed_pages():
     assert arena.stats().reserved_bytes == 257 * PAGE_SIZE + 256 * 56 == 1_067_008
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=CapacityError,
+    reason="a large chunk takes the top of the highest free span that fits, "
+    "so the 1-page request splits the freed 2-page hole (ROADMAP item 3)",
+)
+def test_a_freed_hole_serves_a_request_of_its_own_size():
+    # page 0 holds the class run; after the free, the 1-page chunk takes the
+    # top page of the freed 2-page hole, so the 2-page chunk is carved from
+    # the span below it and no free span keeps 27 pages
+    arena = make_arena(arena_capacity=32 * PAGE_SIZE, rng_seed=1)
+    arena.alloc(24)
+    two = arena.alloc(2 * PAGE_SIZE - 8)
+    arena.alloc(PAGE_SIZE - 8)
+    arena.free(two.id)
+    arena.alloc(PAGE_SIZE - 8)
+    arena.alloc(2 * PAGE_SIZE - 8)
+    arena.alloc(27 * PAGE_SIZE - 8)
+
+
 @pytest.mark.parametrize("capacity", [1, PAGE_SIZE // 2, PAGE_SIZE - 1])
 def test_an_arena_under_one_page_refuses_every_carve(capacity):
     arena = make_arena(arena_capacity=capacity, rng_seed=1)

@@ -1,17 +1,23 @@
-"""Seeded CLI output, pinned by its SHA-256 digest.
+"""Seeded CLI output and arena placements, pinned by their SHA-256 digests.
 
 Each case runs one command with a fixed seed and compares the digest of
 its stdout with the one recorded before the code under it last changed.
 A change that keeps seeded output byte-identical keeps these green; the
 digests are never re-recorded to make such a change pass.
+
+No field of ``ruma replay``'s output depends on the arena's base or on
+which slot a chunk gets, so the placement cases replay a trace through
+``Arena`` in-process and hash where every chunk lands instead.
 """
 
+import functools
 import hashlib
 
 import pytest
 
-from ruma import spray
+from ruma import Arena, ArenaConfig, spray
 from ruma.cli import dispatch
+from ruma.trace import generate_trace
 
 EVENTS = "20000"  # 13005 allocations: past one batch of offsets (8192 halves)
 MIXED = "--median 512 --sigma 1.5 --max-size 65536"
@@ -149,3 +155,53 @@ def test_seeded_spray_digest_is_unchanged_without_the_kernel(case, monkeypatch):
     code, out = dispatch(command.split())
     assert code == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# (events, seed, generate_trace keywords, ArenaConfig keywords, digest)
+PLACEMENTS = {
+    "small64": (
+        20_000, 1, {}, {"rng_seed": 1},
+        "57a7d74aaf07bbbc6ae42f355ba812d3715b0dc61f3bf7fedac1bcbf431d0019",
+    ),
+    "small-reject64": (
+        20_000, 1, {},
+        {"address_space_bits": 64, "arena_capacity": 4502500384108544,
+         "rng_seed": 5418},
+        "de97b0e27a8ce886989a5fddd61dfe425aa9bc74b64caf649777292ee0610587",
+    ),
+    # 200k events: the 20k mixed trace moves only 4 large candidates below
+    # a BSI address and withholds no class slot
+    "mixed200k-filtered32": (
+        200_000, 1, {"median": 512, "sigma": 1.5, "max_size": 65536},
+        {"address_space_bits": 32, "pointer_width": 4, "filter_bsi": True,
+         "arena_capacity": 1 << 30, "rng_seed": 1},
+        "aa4038d6232b98c67836ed0675aecabe37f98a7ce69d31d45e8fe4cd6fef0c78",
+    ),
+}
+
+
+@functools.cache
+def _replay_placements(case):
+    """Replay ``case``'s trace through a fresh arena; return the arena and
+    the SHA-256 of the absolute start and the offset of every chunk an
+    alloc or realloc event placed, in event order."""
+    events, seed, shape, config, _ = PLACEMENTS[case]
+    arena = Arena(ArenaConfig(**config))
+    digest = hashlib.sha256()
+    handles = {}
+    for kind, ident, size, _ in generate_trace(events, seed, **shape):
+        if kind == "free":
+            arena.free(handles.pop(ident))
+            continue
+        if kind == "alloc":
+            rec = arena.alloc(size)
+        else:
+            rec = arena.realloc(handles[ident], size)
+        handles[ident] = rec.id
+        digest.update(f"{rec.start} {rec.offset}\n".encode())
+    return arena, digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", PLACEMENTS)
+def test_seeded_placement_digest_is_unchanged(case):
+    assert _replay_placements(case)[1] == PLACEMENTS[case][-1]
