@@ -14,16 +14,19 @@ and no border handling beyond that; freeing it returns its pages to the
 pool, merged with their free neighbours.
 
 A 32-bit arena with ``filter_bsi`` hands out no chunk that covers a
-byte-shift-independent address (see :mod:`ruma.bsi`). A class slot whose
-outgoing span would cover one is withheld, and tested again only for a span
-that does not cover its BSI address. A large chunk that would cover a BSI
-address ``b`` moves down instead, to the highest page-aligned slot whose
-chunk ends at or below ``b``, in the same free span and then in the lower
-ones; the pages it passes over stay free. So a large request fails only
-when no free span has room for it between two BSI addresses. Spans of
-``BSI_PERIOD`` bytes or more are exempt and never checked: every such span
-covers one, so no placement could pass the filter. Any candidate slot,
-freed or fresh, with no BSI address in its reserve is handed out untested.
+byte-shift-independent address (see :mod:`ruma.bsi`). One rule judges each
+candidate slot: where its BSI address falls against the span ``[offset,
+offset + size)`` the chunk would take in it. A large candidate's address is
+the first at or after its chunk's start, so the rule alone decides: one that
+covers its address ``b`` moves down to the highest page-aligned slot whose
+chunk ends at or below ``b``, in its free span and then in the lower ones,
+passing over pages that stay free; so a large request fails only when no
+free span has room for it between two BSI addresses. A class slot's address
+is the first at or after the slot. A withheld slot goes back out untested to
+the first span that misses its address, and a freed or fresh one when its
+address lies at or past the span's end; the counted range test decides the
+rest and withholds a slot whose span covers its address. Spans of
+``BSI_PERIOD`` bytes or more are exempt: every such span covers one.
 
 All randomness comes from numpy's ``Generator(Philox(rng_seed))`` stream,
 computed in pure Python by :func:`ruma.philox.integers_then_tops`, so an
@@ -243,7 +246,8 @@ class ArenaCounters:
     total_allocs: int = 0  # also the id of the last allocation
     aligned_allocs: int = 0
     promotions: int = 0
-    # spans actually passed to the BSI range test, and the values it tested
+    # spans passed to the BSI range test, and the values it tested: freed
+    # or fresh class slots whose BSI address lies before the span's end
     bsi_span_checks: int = 0
     bsi_candidates: int = 0
     # candidates the filter refused: class slots it withheld, and large
@@ -341,18 +345,27 @@ class Arena:
         self.counters.bsi_candidates += checked
         return hit
 
+    def _take(self, i: int, start: int, end: int) -> None:
+        """Take pages ``[start, end)`` out of free span ``i``."""
+        starts, ends = self._starts, self._ends
+        if start > starts[i]:
+            if end < ends[i]:
+                starts.insert(i + 1, end)
+                ends.insert(i + 1, ends[i])
+            ends[i] = start
+        elif end < ends[i]:
+            starts[i] = end
+        else:
+            del starts[i], ends[i]
+
     def _carve_run(self, ci: int) -> int:
         """A fresh run for class ``ci`` on the lowest free page; its other
         slots go to the class's free list."""
-        starts, ends = self._starts, self._ends
         cls = self._table[ci]
-        if not starts:
+        if not self._starts:
             raise CapacityError(f"arena exhausted carving a run for class {cls.max_size}")
-        run = starts[0]
-        if run + PAGE_SIZE < ends[0]:
-            starts[0] = run + PAGE_SIZE
-        else:
-            del starts[0], ends[0]
+        run = self._starts[0]
+        self._take(0, run, run + PAGE_SIZE)
         self._class_capacity[ci] += cls.slots_per_run
         last = run + (cls.slots_per_run - 1) * cls.stride
         self._free[ci].extend(range(last, run, -cls.stride))
@@ -361,56 +374,42 @@ class Arena:
     def _carve_pages(self, pages: int, offset: int, size: int) -> int:
         """Slot for a large ``size``-byte chunk at ``offset``: the top
         ``pages`` pages of the highest free span that fits them. Under the
-        filter, a candidate whose chunk would cover a BSI address ``b``
-        moves down to the highest slot whose chunk ends at or below ``b``,
-        in its span and then in the lower ones; the pages above a slot so
-        carved stay free. A candidate with no BSI address in its first
-        ``size + pad`` bytes is taken untested."""
+        filter, a candidate whose chunk covers ``bsi``, the first BSI
+        address at or after its start, moves down to the highest slot whose
+        chunk ends at or below ``bsi``, in its span and then in the lower
+        ones; the pages above a slot so carved stay free."""
         starts, ends = self._starts, self._ends
         length = pages * PAGE_SIZE
-        # every slot is taken untested where no filter applies
-        reserved = size + self._pad if self._filter and size < BSI_PERIOD else 0
+        filtered = self._filter and size < BSI_PERIOD
         for i in range(len(ends) - 1, -1, -1):
             slot = ends[i] - length
             while slot >= starts[i]:
-                if -slot % BSI_PERIOD >= reserved or not self._filter_span(
-                    slot + offset, size
-                ):
-                    end = slot + length
-                    if slot > starts[i]:
-                        if end < ends[i]:  # the pages above stay free
-                            starts.insert(i + 1, end)
-                            ends.insert(i + 1, ends[i])
-                        ends[i] = slot
-                    elif end < ends[i]:
-                        starts[i] = end
-                    else:
-                        del starts[i], ends[i]
+                start = slot + offset
+                bsi = start + -start % BSI_PERIOD
+                if not filtered or bsi >= start + size:
+                    self._take(i, slot, slot + length)
                     return slot
                 self.counters.bsi_quarantined += 1
-                bsi = slot + offset + -(slot + offset) % BSI_PERIOD
                 slot = (bsi - offset - size) // PAGE_SIZE * PAGE_SIZE
         raise CapacityError(f"arena exhausted carving {pages} pages")
 
-    def _place(self, ci: int, offset: int, size: int, reserved: int) -> int:
+    def _place(self, ci: int, offset: int, size: int) -> int:
         """Filtered slot of class ``ci`` for a ``size``-byte chunk at
-        ``offset``: a withheld slot the filter now passes, else the class's
-        last freed slot, else a fresh one. ``offset + size <=
-        reserved`` always holds, so a slot with no BSI address in its first
-        ``reserved`` bytes goes out untested, and a withheld slot whose BSI
-        address, ``-slot % BSI_PERIOD`` bytes in, lies inside the span is
-        passed over untested: the test would fail."""
+        ``offset``: the first withheld slot whose BSI address, ``-slot %
+        BSI_PERIOD`` bytes in, lies outside the span ``[offset, offset +
+        size)``, else the class's last freed slot, else a fresh one. A class
+        span is shorter than ``BSI_PERIOD`` and covers no other address, so
+        a withheld slot goes out untested, as does a freed or fresh one
+        whose address lies at or past the span's end. The counted test
+        decides the rest: their address may lie before the span."""
         quarantined, free = self._quarantine[ci], self._free[ci]
+        end = offset + size
         for i, slot in enumerate(quarantined):
-            if offset <= -slot % BSI_PERIOD < offset + size:
-                continue
-            if not self._filter_span(slot + offset, size):
+            if not offset <= -slot % BSI_PERIOD < end:
                 return quarantined.pop(i)
         while True:
             slot = free.pop() if free else self._carve_run(ci)
-            if -slot % BSI_PERIOD >= reserved or not self._filter_span(
-                slot + offset, size
-            ):
+            if -slot % BSI_PERIOD >= end or not self._filter_span(slot + offset, size):
                 return slot
             quarantined.append(slot)
             self.counters.bsi_quarantined += 1
@@ -451,7 +450,7 @@ class Arena:
         else:
             reserved = self._class_reserve[ci]
             if self._filter:
-                start = self._place(ci, offset, size, reserved) + offset
+                start = self._place(ci, offset, size) + offset
             else:
                 free = self._free[ci]
                 start = (free.pop() if free else self._carve_run(ci)) + offset

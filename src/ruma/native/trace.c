@@ -69,12 +69,9 @@ static int take(PyObject *line, PyObject *live, Py_ssize_t lineno, PyObject *eve
     if (p != end)
         return 0;
 
-    PyObject *ident = PyUnicode_New(id_length, 127);
+    PyObject *ident = PyUnicode_Substring(line, 2, 2 + id_length);
     if (ident == NULL)
         return -1;
-    unsigned char *copy = PyUnicode_1BYTE_DATA(ident);
-    for (Py_ssize_t i = 0; i < id_length; i++)
-        copy[i] = id[i];
     if (kind == ALLOC) {
         int known = PyDict_Contains(live, ident);
         if (known != 0 || PyDict_SetItem(live, ident, ident) < 0) {

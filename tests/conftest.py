@@ -7,6 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# CI searches harder than a local run: pass --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=1000)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"

@@ -273,7 +273,9 @@ class FilteredArenaModel(ArenaModel):
         )
 
 
-_SETTINGS = settings(max_examples=100, stateful_step_count=50, deadline=None)
+# max_examples comes from the loaded profile: Hypothesis's default of 100,
+# or 1000 under CI's --hypothesis-profile=ci (see conftest.py)
+_SETTINGS = settings(stateful_step_count=50, deadline=None)
 DefaultArenaModel.TestCase.settings = _SETTINGS
 FilteredArenaModel.TestCase.settings = _SETTINGS
 TestDefaultArenaModel = DefaultArenaModel.TestCase

@@ -205,3 +205,12 @@ def _replay_placements(case):
 @pytest.mark.parametrize("case", PLACEMENTS)
 def test_seeded_placement_digest_is_unchanged(case):
     assert _replay_placements(case)[1] == PLACEMENTS[case][-1]
+
+
+def test_the_filter_tests_only_the_class_slots_it_withholds():
+    # the mixed trace moves 6,806 large candidates below a BSI address and
+    # withholds 2 class slots: the BSI address decides every large one, so
+    # the counted range test runs only for the 2 slots, and fails for both
+    counters = _replay_placements("mixed200k-filtered32")[0].counters
+    assert counters.bsi_quarantined == 6808
+    assert counters.bsi_span_checks == 2
