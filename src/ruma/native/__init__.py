@@ -11,7 +11,11 @@ source that calls nothing links to nothing.
 imports it. Such a build adds ``EXTENSION_FLAGS`` and the interpreter's
 include directory, so it needs ``Python.h``, and links to the
 interpreter alone: without ``-DNDEBUG``, ``Python.h``'s inline asserts
-would call ``__assert_fail``.
+would call ``__assert_fail``. ``-ffp-contract=off`` keeps every double
+operation rounded on its own, as CPython rounds it: where the target has
+a fused multiply-add (aarch64, say), GCC would otherwise fuse ``a * b +
+c`` into one rounding, and the trace kernel's sizes could differ from
+the Python generator's in the last bit.
 
 Libraries are cached in ``$XDG_CACHE_HOME/ruma`` (``~/.cache/ruma`` when
 the variable is unset or not absolute), named for the hash of the source
@@ -46,7 +50,8 @@ except ImportError:
 __all__ = ["EXTENSION_FLAGS", "FLAGS", "NativeError", "build", "load"]
 
 FLAGS = ("-O2", "-fno-builtin", "-shared", "-fPIC")
-EXTENSION_FLAGS = ("-DNDEBUG",)
+# -DNDEBUG and -ffp-contract=off: see the module docstring for why
+EXTENSION_FLAGS = ("-DNDEBUG", "-ffp-contract=off")
 
 # where the sources live, and the ending of an extension module's name;
 # module attributes so that a test can point them elsewhere

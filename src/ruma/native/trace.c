@@ -1,5 +1,8 @@
-/* The canonical-line kernel of ruma.trace.parse_trace, a CPython
- * extension module.
+/* The kernels of ruma.trace, a CPython extension module: parse for
+ * parse_trace, generate for generate_trace and serialize for
+ * serialize_trace. Each does exactly what its Python loop does, for the
+ * inputs it takes; the loop handles every other input, and alone raises
+ * the trace's errors.
  *
  * parse(lines, live, first_line, events) reads the list `lines` from its
  * head and takes each line that has both of these properties:
@@ -20,8 +23,28 @@
  * loop's. No input raises: `lines` that is not a list, or `live` that is
  * not a dict, takes nothing.
  *
+ * generate(events, (k0, k1), alloc_below, realloc_below, mean, sigma,
+ * min_size, max_size, (ki, wi, fi, r, inv_r)) returns generate_trace's
+ * event list, drawn from the Philox4x64-10 stream under the key (k0, k1)
+ * as ruma.philox draws it: the same rolls, Lemire picks with the same
+ * kept half, and numpy's ziggurat over ruma.philox's tables and
+ * constants, passed in so that they exist once. It follows ruma.philox's expressions in their order,
+ * and ruma.native builds it with -ffp-contract=off, so every double is
+ * the one Python computes. It returns None, and generate_trace's loop
+ * makes the trace, unless sigma and the size bounds are ints or floats
+ * strictly between -2**53 and 2**53.
+ *
+ * serialize(events) returns (text, taken): the canonical text of the
+ * events at the head of the list `events` that are exact 4-tuples of an
+ * interned kind string (the very object that parse and generate put in
+ * their events), an ASCII str id and, but for a free, an int size in
+ * [0, 2**64), and how many those are. serialize_trace's loop writes the
+ * rest, and alone raises on a malformed event.
+ *
  * The module calls nothing outside the interpreter, so the library needs
- * no symbol beyond Py* and _Py* ones.
+ * no symbol beyond Py* and _Py* ones: exp and log1p are the math
+ * module's functions, called as Python calls them, and no copy is left
+ * to memcpy (ruma.native builds with -fno-builtin).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -141,16 +164,408 @@ static PyObject *parse(PyObject *Py_UNUSED(self), PyObject *args)
     return PyLong_FromSsize_t(taken);
 }
 
+/* ---- generate: the synthetic trace of ruma.trace.generate_trace ---- */
+
+typedef unsigned __int128 u128;
+
+static PyObject *math_exp, *math_log1p; /* the math module's functions */
+
+/* words[0..3] = the Philox4x64-10 block for `counter` under (k0, k1), as
+ * spray.c computes it */
+static void philox(uint64_t counter, uint64_t k0, uint64_t k1, uint64_t words[4])
+{
+    uint64_t x0 = counter, x1 = 0, x2 = 0, x3 = 0;
+#pragma GCC unroll 10
+    for (int round = 0; round < 10; round++) {
+        u128 p0 = (u128)x0 * 0xD2E7470EE14C6C93u;
+        u128 p1 = (u128)x2 * 0xCA5A826395121157u;
+        x0 = (uint64_t)(p1 >> 64) ^ x1 ^ k0;
+        x1 = (uint64_t)p1;
+        x2 = (uint64_t)(p0 >> 64) ^ x3 ^ k1;
+        x3 = (uint64_t)p0;
+        k0 += 0x9E3779B97F4A7C15u;
+        k1 += 0xBB67AE8584CAA73Bu;
+    }
+    words[0] = x0;
+    words[1] = x1;
+    words[2] = x2;
+    words[3] = x3;
+}
+
+/* One key's stream from counter 1, word by word, with the high half a
+ * 32-bit draw keeps (ruma.philox.pick's `spare`) */
+struct stream {
+    uint64_t k0, k1, counter, words[4];
+    int used;      /* words of the block read so far */
+    int has_spare;
+    uint32_t spare;
+};
+
+static uint64_t next_word(struct stream *s)
+{
+    if (s->used == 4) {
+        philox(++s->counter, s->k0, s->k1, s->words);
+        s->used = 0;
+    }
+    return s->words[s->used++];
+}
+
+/* ruma.philox.pick: Generator.integers(0, n) for 1 <= n < 2**64 */
+static uint64_t pick(struct stream *s, uint64_t n)
+{
+    if (n == 1)
+        return 0;
+    if (n > 0xFFFFFFFFu) {
+        for (;;) {
+            u128 m = (u128)next_word(s) * n;
+            uint64_t low = (uint64_t)m;
+            if (low >= n || low >= (0 - n) % n)
+                return (uint64_t)(m >> 64);
+        }
+    }
+    for (;;) {
+        uint32_t half;
+        if (!s->has_spare) {
+            uint64_t word = next_word(s);
+            half = (uint32_t)word;
+            s->spare = (uint32_t)(word >> 32);
+            s->has_spare = 1;
+        } else {
+            half = s->spare;
+            s->has_spare = 0;
+        }
+        uint64_t m = (uint64_t)half * n;
+        uint64_t low = m & 0xFFFFFFFFu;
+        if (low >= n || low >= (0x100000000u - n) % n)
+            return m >> 32;
+    }
+}
+
+/* numpy's ziggurat: ruma.philox's tables _KI, _WI and _FI, and its
+ * constants _R and _INV_R */
+struct ziggurat {
+    uint64_t ki[256];
+    double wi[256], fi[256], r, inv_r;
+};
+
+static int read_ziggurat(PyObject *ki, PyObject *wi, PyObject *fi, PyObject *r,
+                         PyObject *inv_r, struct ziggurat *t)
+{
+    if (!PyTuple_CheckExact(ki) || PyTuple_GET_SIZE(ki) != 256 ||
+        !PyTuple_CheckExact(wi) || PyTuple_GET_SIZE(wi) != 256 ||
+        !PyTuple_CheckExact(fi) || PyTuple_GET_SIZE(fi) != 256) {
+        PyErr_SetString(PyExc_ValueError, "the ziggurat tables are tuples of 256");
+        return -1;
+    }
+    t->r = PyFloat_AsDouble(r);
+    t->inv_r = PyFloat_AsDouble(inv_r);
+    for (int i = 0; i < 256; i++) {
+        t->ki[i] = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(ki, i));
+        t->wi[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(wi, i));
+        t->fi[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(fi, i));
+        if (PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+/* *out = f(x) for one of the math module's functions: 0, or -1 with an
+ * exception set */
+static int call_math(PyObject *f, double x, double *out)
+{
+    PyObject *arg = PyFloat_FromDouble(x);
+    if (arg == NULL)
+        return -1;
+    PyObject *result = PyObject_CallOneArg(f, arg);
+    Py_DECREF(arg);
+    if (result == NULL)
+        return -1;
+    *out = PyFloat_AsDouble(result);
+    Py_DECREF(result);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+#define TO_DOUBLE (1.0 / 9007199254740992.0)
+
+/* ruma.philox.standard_normal, expression for expression */
+static int standard_normal(struct stream *s, const struct ziggurat *t, double *out)
+{
+    for (;;) {
+        uint64_t r = next_word(s);
+        int idx = r & 0xFF;
+        uint64_t rabs = r >> 9 & 0xFFFFFFFFFFFFFu;
+        double x = rabs * t->wi[idx];
+        if (r & 0x100)
+            x = -x;
+        if (rabs < t->ki[idx]) {
+            *out = x;
+            return 0;
+        }
+        if (idx == 0) {
+            for (;;) {
+                double xx, yy;
+                if (call_math(math_log1p, -((next_word(s) >> 11) * TO_DOUBLE), &xx) < 0)
+                    return -1;
+                xx = -t->inv_r * xx;
+                if (call_math(math_log1p, -((next_word(s) >> 11) * TO_DOUBLE), &yy) < 0)
+                    return -1;
+                yy = -yy;
+                if (yy + yy > xx * xx) {
+                    /* numpy signs a tail draw by bit 17 of the word, not 8 */
+                    *out = rabs >> 8 & 1 ? -(t->r + xx) : t->r + xx;
+                    return 0;
+                }
+            }
+        } else {
+            double u = (next_word(s) >> 11) * TO_DOUBLE, e;
+            if (call_math(math_exp, -0.5 * x * x, &e) < 0)
+                return -1;
+            if ((t->fi[idx - 1] - t->fi[idx]) * u + t->fi[idx] < e) {
+                *out = x;
+                return 0;
+            }
+        }
+    }
+}
+
+/* *out = the value of `obj`, an int or float strictly between -2**53 and
+ * 2**53, where every such value is a double and every double op on it is
+ * the one Python makes: 1, or 0 for any other object */
+static int exact_double(PyObject *obj, double *out)
+{
+    if (PyFloat_CheckExact(obj)) {
+        *out = PyFloat_AS_DOUBLE(obj);
+    } else if (PyLong_CheckExact(obj)) {
+        int overflow;
+        long long value = PyLong_AsLongLongAndOverflow(obj, &overflow);
+        if (overflow)
+            return 0;
+        *out = (double)value;
+    } else {
+        return 0;
+    }
+    /* false for a NaN too */
+    return *out > -9007199254740992.0 && *out < 9007199254740992.0;
+}
+
+/* Python's round() of a double in [0, 2**53): ties go to even */
+static uint64_t round_half_even(double x)
+{
+    uint64_t whole = (uint64_t)x;
+    double rest = x - (double)whole; /* exact */
+    return whole + (rest > 0.5 || (rest == 0.5 && whole & 1));
+}
+
+/* A new event tuple (kind, ident, size, 0); steals `size`, which may be
+ * NULL after a failed call, and borrows the rest */
+static PyObject *event(int kind, PyObject *ident, PyObject *size)
+{
+    if (size == NULL)
+        return NULL;
+    PyObject *tuple = PyTuple_New(4);
+    if (tuple == NULL) {
+        Py_DECREF(size);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(tuple, 0, Py_NewRef(kinds[kind]));
+    PyTuple_SET_ITEM(tuple, 1, Py_NewRef(ident));
+    PyTuple_SET_ITEM(tuple, 2, size);
+    PyTuple_SET_ITEM(tuple, 3, PyLong_FromLong(0)); /* a cached small int */
+    return tuple;
+}
+
+/* The size of an alloc or realloc, as a new int: exp(mean + sigma * z)
+ * clamped to [min_size, max_size] and rounded, or NULL with an
+ * exception set */
+static PyObject *draw_size(struct stream *s, const struct ziggurat *t, double mean,
+                           double sigma, double min_size, double max_size)
+{
+    double z, size;
+    if (standard_normal(s, t, &z) < 0)
+        return NULL;
+    if (call_math(math_exp, mean + sigma * z, &size) < 0) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+            return NULL;
+        PyErr_Clear(); /* where C's exp, and so numpy's, gives inf */
+        size = INFINITY;
+    }
+    /* clamped before rounding, so a draw that overflows to inf is max_size */
+    size = size < min_size ? min_size : size > max_size ? max_size : size;
+    return PyLong_FromUnsignedLongLong(round_half_even(size));
+}
+
+/* Write n in decimal, at most 20 digits, from p; returns the end */
+static char *write_decimal(char *p, uint64_t n)
+{
+    char digits[20];
+    int start = 20;
+    do
+        digits[--start] = '0' + n % 10;
+    while (n /= 10);
+    while (start < 20)
+        *p++ = digits[start++];
+    return p;
+}
+
+/* str(n) */
+static PyObject *decimal(uint64_t n)
+{
+    char text[20];
+    return PyUnicode_FromStringAndSize(text, write_decimal(text, n) - text);
+}
+
+static PyObject *generate(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    Py_ssize_t count;
+    struct stream s = {.used = 4};
+    uint64_t alloc_below, realloc_below;
+    double mean, sigma, min_size, max_size;
+    PyObject *sigma_obj, *min_obj, *max_obj, *ki, *wi, *fi, *r, *inv_r;
+    struct ziggurat t;
+    if (!PyArg_ParseTuple(args, "n(KK)KKdOOO(OOOOO):generate", &count, &s.k0, &s.k1,
+                          &alloc_below, &realloc_below, &mean, &sigma_obj, &min_obj,
+                          &max_obj, &ki, &wi, &fi, &r, &inv_r))
+        return NULL;
+    if (!exact_double(sigma_obj, &sigma) || !exact_double(min_obj, &min_size) ||
+        !exact_double(max_obj, &max_size))
+        Py_RETURN_NONE;
+    if (read_ziggurat(ki, wi, fi, r, inv_r, &t) < 0)
+        return NULL;
+
+    PyObject *out = PyList_New(count > 0 ? count : 0);
+    /* the live ids, borrowed: each alloc's event in `out` owns its id */
+    PyObject **live = NULL;
+    Py_ssize_t n_live = 0, room = 0;
+    uint64_t next_id = 1;
+    if (out == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        uint64_t word = next_word(&s);
+        Py_ssize_t chosen = -1;
+        PyObject *item;
+        if (word >= alloc_below && n_live > 0) {
+            chosen = (Py_ssize_t)pick(&s, (uint64_t)n_live);
+            if (word >= realloc_below) {
+                PyObject *ident = live[chosen];
+                live[chosen] = live[--n_live];
+                if ((item = event(FREE, ident, Py_NewRef(Py_None))) == NULL)
+                    goto fail;
+                PyList_SET_ITEM(out, i, item);
+                continue;
+            }
+        }
+        PyObject *size = draw_size(&s, &t, mean, sigma, min_size, max_size);
+        if (chosen >= 0) {
+            item = event(REALLOC, live[chosen], size);
+        } else {
+            if (n_live == room) {
+                room = room ? 2 * room : 1024;
+                PyObject **grown = PyMem_Realloc(live, room * sizeof *live);
+                if (grown == NULL) {
+                    Py_XDECREF(size);
+                    PyErr_NoMemory();
+                    goto fail;
+                }
+                live = grown;
+            }
+            PyObject *ident = decimal(next_id++);
+            if (ident == NULL) {
+                Py_XDECREF(size);
+                goto fail;
+            }
+            item = event(ALLOC, ident, size);
+            Py_DECREF(ident);
+            if (item != NULL)
+                live[n_live++] = ident;
+        }
+        if (item == NULL)
+            goto fail;
+        PyList_SET_ITEM(out, i, item);
+    }
+    PyMem_Free(live);
+    return out;
+fail:
+    PyMem_Free(live);
+    Py_DECREF(out);
+    return NULL;
+}
+
+/* ---- serialize: the canonical text of ruma.trace.serialize_trace ---- */
+
+/* serialize(events) -> (text, taken): the text of the events at the head
+ * of the list `events` that it can write as the Python loop would */
+static PyObject *serialize(PyObject *Py_UNUSED(self), PyObject *events)
+{
+    char *text = NULL;
+    Py_ssize_t length = 0, room = 0, taken = 0;
+    if (PyList_CheckExact(events)) {
+        for (; taken < PyList_GET_SIZE(events); taken++) {
+            PyObject *item = PyList_GET_ITEM(events, taken);
+            if (!PyTuple_CheckExact(item) || PyTuple_GET_SIZE(item) != 4)
+                break;
+            PyObject *kind_obj = PyTuple_GET_ITEM(item, 0);
+            PyObject *ident = PyTuple_GET_ITEM(item, 1);
+            int kind = 0;
+            while (kind < 3 && kinds[kind] != kind_obj)
+                kind++;
+            if (kind == 3 || !PyUnicode_CheckExact(ident) || !PyUnicode_IS_ASCII(ident))
+                break;
+            /* a free's size is not written, whatever it is */
+            unsigned long long size = 0;
+            if (kind != FREE) {
+                PyObject *size_obj = PyTuple_GET_ITEM(item, 2);
+                if (!PyLong_CheckExact(size_obj))
+                    break;
+                size = PyLong_AsUnsignedLongLong(size_obj);
+                if (size == (unsigned long long)-1 && PyErr_Occurred()) {
+                    PyErr_Clear(); /* negative, or 2**64 and above */
+                    break;
+                }
+            }
+            Py_ssize_t id_length = PyUnicode_GET_LENGTH(ident);
+            /* "k ID SIZE\n", at most 20 digits of size */
+            if (room - length < id_length + 24) {
+                room = 2 * room + id_length + 24 + 65536;
+                char *grown = PyMem_Realloc(text, room);
+                if (grown == NULL) {
+                    PyMem_Free(text);
+                    return PyErr_NoMemory();
+                }
+                text = grown;
+            }
+            char *p = text + length;
+            *p++ = "arf"[kind];
+            *p++ = ' ';
+            const char *id = (const char *)PyUnicode_1BYTE_DATA(ident);
+            for (Py_ssize_t j = 0; j < id_length; j++)
+                *p++ = id[j];
+            if (kind != FREE) {
+                *p++ = ' ';
+                p = write_decimal(p, size);
+            }
+            *p++ = '\n';
+            length = p - text;
+        }
+    }
+    PyObject *head = PyUnicode_FromStringAndSize(text, length);
+    PyMem_Free(text);
+    return head == NULL ? NULL : Py_BuildValue("(Nn)", head, taken);
+}
+
 static PyMethodDef methods[] = {
     {"parse", parse, METH_VARARGS,
      "parse(lines, live, first_line, events) -> the number of lines taken"},
+    {"generate", generate, METH_VARARGS,
+     "generate(events, key, alloc_below, realloc_below, mean, sigma, min_size, "
+     "max_size, ziggurat) -> the event list, or None"},
+    {"serialize", serialize, METH_O, "serialize(events) -> (text, taken)"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "trace",
-    .m_doc = "The canonical-line kernel of ruma.trace.parse_trace.",
+    .m_doc = "The parse, generate and serialize kernels of ruma.trace.",
     .m_size = -1,
     .m_methods = methods,
 };
@@ -161,5 +576,18 @@ PyMODINIT_FUNC PyInit_trace(void)
     for (int k = 0; k < 3; k++)
         if (kinds[k] == NULL && (kinds[k] = PyUnicode_InternFromString(names[k])) == NULL)
             return NULL;
+    if (math_exp == NULL) {
+        PyObject *math = PyImport_ImportModule("math");
+        if (math == NULL)
+            return NULL;
+        math_exp = PyObject_GetAttrString(math, "exp");
+        math_log1p = PyObject_GetAttrString(math, "log1p");
+        Py_DECREF(math);
+        if (math_exp == NULL || math_log1p == NULL) {
+            Py_CLEAR(math_exp);
+            Py_CLEAR(math_log1p);
+            return NULL;
+        }
+    }
     return PyModule_Create(&module);
 }

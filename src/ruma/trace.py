@@ -37,6 +37,16 @@ live-id pick (:func:`ruma.philox.pick`) and each size's normal deviate
 tables) are computed from those words, as numpy's ``random()``,
 ``integers(0, n)`` and ``lognormal`` compute them, so seeded traces
 match numpy's calls.
+
+The same module ``ruma/native/trace.c`` generates the whole trace when
+it loads, with the same words, picks and expressions, over
+``ruma.philox``'s tables, and serializes the events at the head of a
+list that are plain tuples of the parser's kinds, ASCII ids and sizes
+below 2**64. The Python generator and serializer stay as the reference
+and as the only path without the module; the generator alone makes a
+trace whose size bounds or ``sigma`` a double cannot hold (2**53 and
+above), and the serializer writes every event from the first one the
+module leaves.
 """
 
 from __future__ import annotations
@@ -49,7 +59,8 @@ from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, TraceError, check_seed
-from .philox import pick as _pick, standard_normal, words
+from .philox import _FI, _INV_R, _KI, _R, _WI, seed_key, standard_normal, words
+from .philox import pick as _pick
 
 if TYPE_CHECKING:
     from .arena import Arena, ArenaConfig, ReplayStats
@@ -81,12 +92,13 @@ def _column(raw_line: str, tokens, index: int) -> int:
 
 @functools.cache
 def _kernel():
-    """``parse`` of the extension module ``ruma/native/trace.c``, or None
-    when it cannot be built or loaded."""
+    """The extension module ``ruma/native/trace.c``, with its ``parse``,
+    ``generate`` and ``serialize``, or None when it cannot be built or
+    loaded."""
     from .native import NativeError, load
 
     try:
-        return load("trace").parse
+        return load("trace")
     except (NativeError, ImportError, OSError):
         return None
 
@@ -115,7 +127,7 @@ def parse_trace(source, live=None, first_line: int = 1) -> list:
         live = {}
     # the kernel takes what it can from the head; the loop parses the rest
     if isinstance(lines, list) and (kernel := _kernel()) is not None:
-        taken = kernel(lines, live, first_line, events)
+        taken = kernel.parse(lines, live, first_line, events)
         if taken == len(lines):
             return events
         lines = islice(lines, taken, None)
@@ -178,6 +190,13 @@ def serialize_trace(events) -> str:
     per event is held beside the text."""
     out = io.StringIO()
     write = out.write
+    # the kernel writes what it can from the head; the loop writes the rest
+    if isinstance(events, list) and (kernel := _kernel()) is not None:
+        head, taken = kernel.serialize(events)
+        if taken == len(events):
+            return head
+        write(head)
+        events = islice(events, taken, None)
     for kind, ident, size, _ in events:
         token = _TOKEN_BY_KIND[kind]
         write(f"{token} {ident}\n" if kind == "free" else f"{token} {ident} {size}\n")
@@ -270,7 +289,6 @@ def generate_trace(
         raise ValueError(f"median must be positive and finite, got {median}")
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
-    raw = chain.from_iterable(words(seed)).__next__
     # numpy's lognormal is exp(mean + sigma * z). math.log and np.log differ
     # in the last bit for about 1 median in 10,000; a 1-ulp change in the
     # mean moves a size by about 2 ulps, which changes the rounded size only
@@ -283,6 +301,14 @@ def generate_trace(
     # below p is a word below that bound shifted left by 11
     alloc_below = math.ceil(_ALLOC_PROB * 2.0**53) << 11
     realloc_below = math.ceil((_ALLOC_PROB + _REALLOC_PROB) * 2.0**53) << 11
+    if (kernel := _kernel()) is not None:
+        out = kernel.generate(
+            events, seed_key(seed), alloc_below, realloc_below, mean, sigma,
+            min_size, max_size, (_KI, _WI, _FI, _R, _INV_R),
+        )
+        if out is not None:
+            return out
+    raw = chain.from_iterable(words(seed)).__next__
     spare = -1
     out = []
     append = out.append

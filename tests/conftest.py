@@ -21,9 +21,10 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH"
 
 
 def on_each_parse_path(test):
-    """Run ``test`` twice: with ``parse_trace``'s compiled kernel (where it
-    builds, else this run is the second one again) taking the canonical
-    lines, then with the Python loop alone, as on a host without a
+    """Run ``test`` twice: with ``ruma.trace``'s compiled kernels (where
+    they build, else this run is the second one again), which parse the
+    canonical lines, generate the trace and serialize the events they
+    take, then with the Python loops alone, as on a host without a
     compiler. The test keeps its name; a failure notes its path."""
     from ruma import trace
 

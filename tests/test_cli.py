@@ -621,16 +621,17 @@ def test_numpy_commands_load_only_their_own_layers(
 
 
 @needs_cc
-def test_replay_loads_its_parse_kernel_and_gen_trace_does_not(tmp_path):
+def test_replay_and_gen_trace_load_the_trace_kernel(tmp_path):
+    # replay parses, and gen-trace generates and serializes, in ruma.native.trace
     (tmp_path / "t.trace").write_text("a 1 8\nf 1\n", encoding="utf-8")
     native = {"ruma.native", "ruma.native.trace"}
-    for argv, expected in [
-        (["replay", "--trace", "t.trace"], native),
-        (["gen-trace", "--events", "10", "--out", "g.trace"], set()),
+    for argv in [
+        ["replay", "--trace", "t.trace"],
+        ["gen-trace", "--events", "10", "--out", "g.trace"],
     ]:
         proc, loaded = _run_cli_listing("ruma", *argv, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert native & set(loaded) == expected
+        assert native <= set(loaded), argv
 
 
 def test_importing_ruma_loads_only_its_errors():

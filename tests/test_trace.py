@@ -106,12 +106,14 @@ def test_parse_error_columns_point_at_the_token(text, line, column):
     [
         "# header\n\n  a x7 16   # inline\nr x7 64\n#a 9 9\nf x7#done\n\n",
         "a 1 8\r\n\r\na 2 16 # two\r\nr 2 32\r\nf 1\r\nf 2",
-        serialize_trace(generate_trace(3000, seed=21)),
+        None,  # a generated trace, made in the test: collection builds no kernel
     ],
     ids=["comments", "crlf", "generated"],
 )
 @on_each_parse_path
 def test_parse_sources_agree(text):
+    if text is None:
+        text = serialize_trace(generate_trace(3000, seed=21))
     # str, file handle and kept line ends: same events on the same lines
     expected = parse_trace(text)
     assert expected
@@ -247,17 +249,36 @@ KERNEL = trace_module._kernel
 
 @needs_cc
 def test_the_parse_kernel_builds_where_there_is_a_compiler():
-    # otherwise on_each_parse_path would run the Python loop twice
-    assert KERNEL() is not None
+    # otherwise on_each_parse_path would run the Python loops twice
+    module = KERNEL()
+    assert module is not None
+    for name in ("parse", "generate", "serialize"):
+        assert callable(getattr(module, name)), name
 
 
 @pytest.fixture(scope="module")
 def kernel():
-    """The compiled ``parse``; the test skips where it does not build."""
+    """The compiled module; the test skips where it does not build."""
     found = KERNEL()
     if found is None:
-        pytest.skip("the parse kernel does not build here")
+        pytest.skip("the trace kernels do not build here")
     return found
+
+
+def _outcome(call, *args, **kwargs):
+    """What ``call(*args, **kwargs)`` returns, or the type and text of
+    what it raises."""
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _by_the_loops(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` with ``ruma.trace``'s Python loops alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace_module, "_kernel", lambda: None)
+        return call(*args, **kwargs)
 
 
 def test_the_kernel_takes_the_canonical_head(kernel):
@@ -267,7 +288,7 @@ def test_the_kernel_takes_the_canonical_head(kernel):
         "f 2\n",
     ]
     live, events = {}, []
-    assert kernel(lines, live, 7, events) == 5
+    assert kernel.parse(lines, live, 7, events) == 5
     assert events == [
         ("alloc", "1", 8, 7),
         ("alloc", "~!$x", 0, 8),
@@ -292,7 +313,7 @@ def test_the_kernel_takes_the_canonical_head(kernel):
 )
 def test_the_kernel_leaves_every_other_line_to_the_loop(kernel, line):
     live, events = {}, []
-    assert kernel([line, "a 2 8\n"], live, 1, events) == 0
+    assert kernel.parse([line, "a 2 8\n"], live, 1, events) == 0
     assert (live, events) == ({}, [])
 
 
@@ -305,7 +326,7 @@ def test_the_kernel_takes_nothing_but_str_lines_in_a_list_with_a_dict(kernel):
         (["a 1 8\n"], OrderedDict()),
         ([type("Line", (str,), {})("a 1 8\n")], {}),
     ]:
-        assert kernel(lines, live, 1, events) == 0
+        assert kernel.parse(lines, live, 1, events) == 0
         assert (live, events) == (type(live)(), [])
 
 
@@ -361,6 +382,97 @@ def _parsed_in_batches(lines, cuts, kernel):
 def test_the_kernel_then_the_loop_parse_as_the_loop_alone(kernel, lines, cuts):
     expected = _parsed_in_batches(lines, cuts, None)
     assert _parsed_in_batches(lines, cuts, kernel) == expected
+
+
+_HEAD = [("alloc", "1", 8, 0), ("alloc", "x~", 0, 3), ("realloc", "1", 2**64 - 1, 0)]
+
+
+class _Size(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        [("alloc", "\u00e9", 8, 0)],
+        [("alloc", "2", 2**64, 0)],
+        [("alloc", "2", -1, 0)],
+        [("alloc", "2", True, 0)],
+        [("alloc", "2", _Size(8), 0)],
+        [("alloc", "2", None, 0)],
+        [["alloc", "2", 8, 0]],
+        [("alloc", "2", 8)],
+        [("".join(["al", "loc"]), "2", 8, 0)],  # equal to "alloc", not the same
+        [("alloc", type("Id", (str,), {})("2"), 8, 0)],
+        [("alloc", 2, 8, 0)],
+    ],
+    ids=[
+        "non-ascii-id", "size-2**64", "negative-size", "bool-size", "int-subclass-size",
+        "no-size", "list-event", "3-tuple", "equal-kind", "str-subclass-id", "int-id",
+    ],
+)
+def test_the_serialize_kernel_leaves_every_other_event_to_the_loop(kernel, tail):
+    events = [*_HEAD, *tail, ("free", "1", None, 0)]
+    text, taken = kernel.serialize(events)
+    assert taken == len(_HEAD)
+    assert text == _by_the_loops(serialize_trace, _HEAD)
+    # the text, or the error (a 3-tuple does not unpack)
+    assert _outcome(serialize_trace, events) == _outcome(
+        _by_the_loops, serialize_trace, events
+    )
+
+
+def test_the_serialize_kernel_writes_what_the_loop_writes(kernel):
+    # a free's size is never written, so the kernel takes a free that
+    # carries one; it takes nothing from a list subclass or another iterable
+    events = [*_HEAD, ("free", "x~", 12, 0), ("alloc", "a b", 5, 0)]
+    text = _by_the_loops(serialize_trace, events)
+    assert text == "a 1 8\na x~ 0\nr 1 18446744073709551615\nf x~\na a b 5\n"
+    assert kernel.serialize(events) == (text, len(events))
+    assert serialize_trace(events) == text
+    for other in (tuple(events), iter(events), type("Events", (list,), {})(events)):
+        assert kernel.serialize(other) == ("", 0)
+    assert serialize_trace(iter(events)) == text
+    assert kernel.serialize([]) == ("", 0) and serialize_trace([]) == ""
+    with pytest.raises(KeyError):
+        serialize_trace([*_HEAD, ("bogus", "1", None, 0)])
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"max_size": 2**53},
+        {"min_size": 2**53, "max_size": 2**53},
+        {"max_size": 2.0**60},
+        {"max_size": True},
+        {"min_size": math.nan},
+        {"max_size": math.inf},
+    ],
+    ids=["2**53", "min-2**53", "float-2**60", "bool", "nan", "inf"],
+)
+def test_the_generate_kernel_declines_what_a_double_cannot_hold(kernel, bounds):
+    params = {"median": 1e15, "sigma": 3.0, "min_size": 1, "max_size": 4096, **bounds}
+    ziggurat = (
+        trace_module._KI, trace_module._WI, trace_module._FI, trace_module._R,
+        trace_module._INV_R,
+    )
+    # generate_trace's roll bounds do not matter: the kernel declines first
+    assert kernel.generate(
+        300, trace_module.seed_key(5), 0, 0, math.log(params["median"]),
+        params["sigma"], params["min_size"], params["max_size"], ziggurat,
+    ) is None
+    # the events, or the error (the loop rounds an inf size)
+    assert _outcome(generate_trace, 300, 5, **params) == _outcome(
+        _by_the_loops, generate_trace, 300, 5, **params
+    )
+
+
+def test_the_generate_kernel_takes_bounds_just_below_2_to_the_53(kernel):
+    params = {"median": 2.0**26, "sigma": 9.0, "min_size": 2.5, "max_size": 2**53 - 1}
+    events = generate_trace(3000, 5, **params)
+    assert events == _by_the_loops(generate_trace, 3000, 5, **params)
+    sizes = {e[2] for e in events if e[2] is not None}
+    assert {2, 2**53 - 1} <= sizes  # both bounds clamp some draws
 
 
 @on_each_parse_path
@@ -450,6 +562,7 @@ def test_generator_is_seed_deterministic_and_small_heavy():
     assert {e[3] for e in a} == {0}
 
 
+@on_each_parse_path
 def test_generator_respects_bounds():
     events = generate_trace(2000, seed=14, min_size=16, max_size=128)
     for _, _, size, _ in events:
@@ -482,10 +595,12 @@ def test_generator_event_mix():
         {"sigma": 0.0},
         {"min_size": 24, "max_size": 24},
         {"median": 1e308, "sigma": 5.0, "max_size": 512},  # draws overflow to inf
+        {"median": 2.5, "sigma": 0.0},  # every size is 2.5, which rounds to 2
     ],
-    ids=["default", "mixed", "sigma0", "one-size", "overflow"],
+    ids=["default", "mixed", "sigma0", "one-size", "overflow", "half"],
 )
 @pytest.mark.parametrize("seed", [1, 3, 12])
+@on_each_parse_path
 def test_generator_matches_numpys_public_draws(seed, params, events):
     # the short traces keep returning to a single live id, where a pick
     # draws nothing
@@ -502,6 +617,7 @@ def _medians_where_the_logs_differ(count):
     return [m for m in sample if np.log(m) != math.log(m)][:count]
 
 
+@on_each_parse_path
 def test_math_log_for_the_mean_keeps_the_traces_of_numpys_log():
     # generate_trace takes math.log of the median, reference_trace numpy's
     # np.log. Where the two differ by an ulp, the sizes move by about two
