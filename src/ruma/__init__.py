@@ -16,14 +16,15 @@ their submodules on first access (PEP 562). The ``ruma`` commands load:
 - ``filter-check``, ``--help``, ``--version`` and usage errors: ``ruma``,
   ``ruma.bsi`` and ``ruma.errors``, and neither numpy nor ``dataclasses``;
 - ``spray-sim``: those, ``ruma.philox`` and ``ruma.spray``, and still not
-  ``dataclasses``; above 2**20 shift draws also ``ruma.native`` and
-  ``ctypes`` for the compiled sampler;
-- ``gen-trace``: those, ``ruma.philox`` and ``ruma.trace``, and still not
-  ``dataclasses``;
-- ``replay``: those, ``ruma.arena``, ``ruma.philox`` and ``ruma.trace``,
-  and where a C compiler and ``Python.h`` are at hand, ``ruma.native``
-  and the extension module ``ruma.native.trace`` that parses the
-  canonical trace lines;
+  ``dataclasses``; above 2**20 shift draws also ``ruma.native``, and
+  its extension module ``ruma.native.kernels`` for the compiled sampler;
+- ``gen-trace``: those, ``ruma.philox``, ``ruma.trace`` and
+  ``ruma.native``, and still not ``dataclasses``; where a C compiler and
+  ``Python.h`` are at hand, also ``ruma.native.kernels``, which
+  generates and serializes the trace;
+- ``replay``: those, ``ruma.arena``, ``ruma.philox``, ``ruma.trace`` and
+  ``ruma.native``, and where a C compiler and ``Python.h`` are at hand,
+  ``ruma.native.kernels``, which parses the canonical trace lines;
 - ``bench``: those, ``ruma.arena``, ``ruma.philox`` and ``ruma.membench``.
 
 numpy is imported inside the functions that draw numbers or build buffers
@@ -35,15 +36,15 @@ and log-normal size from it, the normals through numpy's ziggurat with
 numpy's own tables copied into :mod:`ruma.philox`, so ``gen-trace``
 loads none; and ``monte_carlo`` draws a shorter run from it too, so
 ``spray-sim`` at its default 100000 trials of up to 10 stages loads none
-either. A longer run is counted by ``ruma/native/spray.c``, compiled
-once by :func:`ruma.native.build` with the ``cc`` on ``PATH`` and
-cached, so it loads numpy only on a host where that build fails.
-``ruma/native/trace.c`` is built the same way, by
-:func:`ruma.native.load`, as an extension module; where it cannot be
-built, :func:`ruma.trace.parse_trace` parses every line in Python. On a
-2-vCPU Xeon, ``ruma filter-check`` takes 92 ms without a bytecode cache and
-71 ms with one, against 140 and 97 ms when every command loaded every
-module (medians of 25 alternating pairs).
+either. A longer run is counted by ``ruma.native.kernels``, the one
+extension module, compiled once from ``ruma/native/kernels.c`` with the
+``cc`` on ``PATH`` and cached (:func:`ruma.native.compiled`), so it
+loads numpy only on a host where that build fails; there the trace
+kernels are missing too, and :mod:`ruma.trace` parses, generates and
+serializes every trace in Python. On a 2-vCPU Xeon, ``ruma
+filter-check`` takes 92 ms without a bytecode cache and 71 ms with one,
+against 140 and 97 ms when every command loaded every module (medians of
+25 alternating pairs).
 """
 
 __version__ = "0.1.0"

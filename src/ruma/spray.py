@@ -45,15 +45,16 @@ order, so a seeded result does not depend on which one runs:
   import costs about 0.15 s, and ruma.philox makes 2**20 halves in about
   0.1 s, so 2**20 is the measured crossover: at 2**21 halves the two
   were even;
-- a longer run is counted by ``ruma/native/spray.c``, built by
-  :func:`ruma.native.build` and loaded through ctypes. It computes the
-  Philox blocks itself from :func:`ruma.philox.seed_key` and stops each
-  chain at its first failed stage; Python calls it ``_NATIVE_CHAINS``
-  chains at a time. 10**7 chains of two stages take about 0.07 s on a
-  2-vCPU Xeon;
-- where that library cannot be built (no ``cc``, no writable cache, or a
-  failed build), or the halves do not fit in 63 bits, the longer run
-  takes numpy's raw Philox words, and only this source imports numpy.
+- a longer run is counted by ``spray_successes`` of the extension module
+  :func:`ruma.native.compiled` returns, built from
+  ``ruma/native/kernels.c``. It computes the Philox blocks itself from
+  :func:`ruma.philox.seed_key` and stops each chain at its first failed
+  stage; Python calls it ``_NATIVE_CHAINS`` chains at a time. 10**7
+  chains of two stages take about 0.07 s on a 2-vCPU Xeon;
+- where that module cannot be had (no ``cc``, no ``Python.h``, no
+  writable cache, or a failed build), or the halves do not fit in 63
+  bits, the longer run takes numpy's raw Philox words, and only this
+  source imports numpy.
 
 Splitting the batches across workers keeps the seeded output only if
 each worker reproduces its stretch of that single stream (for example by
@@ -63,7 +64,6 @@ root seed, draw different shifts and change the result.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 
@@ -200,8 +200,11 @@ def monte_carlo(scenario: AttackScenario, trials: int, seed: int) -> MonteCarloR
     elif trials * k <= _PYTHON_HALVES:
         successes = _python_successes(field, k, trials, seed)
     else:
-        # the kernel counts halves in 64-bit ints
-        kernel = _native_kernel() if trials * k < 1 << 63 else None
+        from . import native
+
+        # the kernel counts halves in 64-bit ints, and its arguments are
+        # not checked for overflow
+        kernel = native.compiled() if trials * k < 1 << 63 else None
         if kernel is None:
             successes = _numpy_successes(field, k, trials, seed)
         else:
@@ -249,34 +252,18 @@ def _python_successes(field: int, k: int, trials: int, seed: int) -> int:
     return successes
 
 
-@functools.cache
-def _native_kernel():
-    """``spray_successes`` of ``ruma/native/spray.c`` through ctypes, or
-    None when the library cannot be built or loaded."""
-    import ctypes
-
-    from .native import NativeError, build
-
-    try:
-        kernel = ctypes.CDLL(build("spray")).spray_successes
-    except (NativeError, OSError):
-        return None
-    kernel.argtypes = (ctypes.c_uint64,) * 5 + (ctypes.c_uint32,)
-    kernel.restype = ctypes.c_uint64
-    return kernel
-
-
 def _native_successes(kernel, field: int, k: int, trials: int, seed: int) -> int:
     """The chains of ``trials`` whose ``k`` stages all read the value back,
-    counted by the compiled ``kernel`` over the same halves, in calls of
-    ``_NATIVE_CHAINS`` chains."""
+    counted by the compiled module ``kernel`` over the same halves, in
+    calls of ``_NATIVE_CHAINS`` chains."""
     from .philox import seed_key
 
     k0, k1 = seed_key(seed)
+    count = kernel.spray_successes
     successes = 0
     for first in range(0, trials, _NATIVE_CHAINS):
         chains = min(_NATIVE_CHAINS, trials - first)
-        successes += kernel(k0, k1, first * k, chains, k, field)
+        successes += count(k0, k1, first * k, chains, k, field)
     return successes
 
 

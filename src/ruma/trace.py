@@ -17,15 +17,15 @@ feeds each batch's events to the arena as it parses, and the file's
 event list never exists in full.
 
 A list of lines, or a string split into one, is parsed in two steps.
-``ruma/native/trace.c``, an extension module built by
-:func:`ruma.native.load`, takes the canonical lines at the head of the
-list (``a ID SIZE``, ``r ID SIZE`` or ``f ID`` in ASCII, single spaces,
-at most 18 digits of size, live ids as the rules ask), and the Python
-loop parses every line from the first one it leaves. That loop alone
-reports errors, and alone reads comments, blank lines, other whitespace
-and non-ASCII ids, so the events and errors are the same where the
-module cannot be built (no ``cc`` or no ``Python.h``) and only the loop
-runs.
+The extension module ``ruma.native.kernels`` (``ruma/native/kernels.c``,
+which :func:`ruma.native.compiled` builds and loads) takes the canonical
+lines at the head of the list (``a ID SIZE``, ``r ID SIZE`` or ``f ID``
+in ASCII, single spaces, at most 18 digits of size, live ids as the
+rules ask), and the Python loop parses every line from the first one it
+leaves. That loop alone reports errors, and alone reads comments, blank
+lines, other whitespace and non-ASCII ids, so the events and errors are
+the same where the module cannot be built (no ``cc`` or no ``Python.h``)
+and only the loop runs.
 
 An event is a tuple ``(kind, id, size, line)``; ``size`` is None for a
 free and ``line`` is the source line, or 0 for a generated event.
@@ -38,26 +38,25 @@ tables) are computed from those words, as numpy's ``random()``,
 ``integers(0, n)`` and ``lognormal`` compute them, so seeded traces
 match numpy's calls.
 
-The same module ``ruma/native/trace.c`` generates the whole trace when
-it loads, with the same words, picks and expressions, over
-``ruma.philox``'s tables, and serializes the events at the head of a
-list that are plain tuples of the parser's kinds, ASCII ids and sizes
-below 2**64. The Python generator and serializer stay as the reference
-and as the only path without the module; the generator alone makes a
-trace whose size bounds or ``sigma`` a double cannot hold (2**53 and
-above), and the serializer writes every event from the first one the
-module leaves.
+The same module generates the whole trace when it loads, with the same
+words, picks and expressions, over ``ruma.philox``'s tables, and
+serializes the events at the head of a list that are plain tuples of
+the parser's kinds, ASCII ids and sizes below 2**64. The Python
+generator and serializer stay as the reference and as the only path
+without the module; the generator alone makes a trace whose size bounds
+or ``sigma`` a double cannot hold (2**53 and above), and the serializer
+writes every event from the first one the module leaves.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 from collections import Counter
 from itertools import chain, islice
 from typing import TYPE_CHECKING
 
+from . import native
 from .errors import CapacityError, TraceError, check_seed
 from .philox import _FI, _INV_R, _KI, _R, _WI, seed_key, standard_normal, words
 from .philox import pick as _pick
@@ -90,19 +89,6 @@ def _column(raw_line: str, tokens, index: int) -> int:
     return pos + 1
 
 
-@functools.cache
-def _kernel():
-    """The extension module ``ruma/native/trace.c``, with its ``parse``,
-    ``generate`` and ``serialize``, or None when it cannot be built or
-    loaded."""
-    from .native import NativeError, load
-
-    try:
-        return load("trace")
-    except (NativeError, ImportError, OSError):
-        return None
-
-
 def parse_trace(source, live=None, first_line: int = 1) -> list:
     r"""Parse a trace from a string or an iterable of lines.
 
@@ -126,7 +112,7 @@ def parse_trace(source, live=None, first_line: int = 1) -> list:
     if live is None:
         live = {}
     # the kernel takes what it can from the head; the loop parses the rest
-    if isinstance(lines, list) and (kernel := _kernel()) is not None:
+    if isinstance(lines, list) and (kernel := native.compiled()) is not None:
         taken = kernel.parse(lines, live, first_line, events)
         if taken == len(lines):
             return events
@@ -191,7 +177,7 @@ def serialize_trace(events) -> str:
     out = io.StringIO()
     write = out.write
     # the kernel writes what it can from the head; the loop writes the rest
-    if isinstance(events, list) and (kernel := _kernel()) is not None:
+    if isinstance(events, list) and (kernel := native.compiled()) is not None:
         head, taken = kernel.serialize(events)
         if taken == len(events):
             return head
@@ -301,7 +287,7 @@ def generate_trace(
     # below p is a word below that bound shifted left by 11
     alloc_below = math.ceil(_ALLOC_PROB * 2.0**53) << 11
     realloc_below = math.ceil((_ALLOC_PROB + _REALLOC_PROB) * 2.0**53) << 11
-    if (kernel := _kernel()) is not None:
+    if (kernel := native.compiled()) is not None:
         out = kernel.generate(
             events, seed_key(seed), alloc_below, realloc_below, mean, sigma,
             min_size, max_size, (_KI, _WI, _FI, _R, _INV_R),

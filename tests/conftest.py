@@ -21,20 +21,21 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH"
 
 
 def on_each_parse_path(test):
-    """Run ``test`` twice: with ``ruma.trace``'s compiled kernels (where
-    they build, else this run is the second one again), which parse the
-    canonical lines, generate the trace and serialize the events they
-    take, then with the Python loops alone, as on a host without a
-    compiler. The test keeps its name; a failure notes its path."""
-    from ruma import trace
+    """Run ``test`` twice: with the compiled kernels of
+    ``ruma.native.compiled()`` (where they build, else this run is the
+    second one again), which parse the canonical lines, generate the
+    trace and serialize the events they take, then with the Python loops
+    alone, as on a host without a compiler. The test keeps its name; a
+    failure notes its path."""
+    from ruma import native
 
-    paths = {"kernel": trace._kernel, "Python loop": lambda: None}
+    paths = {"kernel": native.compiled, "Python loop": lambda: None}
 
     @functools.wraps(test)
     def run(*args, **kwargs):
         for name, kernel in paths.items():
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(trace, "_kernel", kernel)
+                patch.setattr(native, "compiled", kernel)
                 try:
                     test(*args, **kwargs)
                 except Exception as exc:

@@ -14,11 +14,10 @@ import pytest
 import ruma
 import ruma.trace as trace_mod
 from conftest import child_env, needs_cc, on_each_parse_path, run_cli, run_python
-from ruma import ArenaConfig, cli, membench
+from ruma import ArenaConfig, cli, membench, native
 from ruma import spray as spray_module
 from ruma.cli import build_parser, dispatch, main
 from ruma.errors import TraceError
-from ruma.native import build
 
 DATA = Path(__file__).parent / "data"
 
@@ -47,11 +46,11 @@ def test_spray_sim_prints_the_same_from_either_source(monkeypatch, argv):
     # ruma.philox below the threshold, and above it the compiled kernel or,
     # without one, numpy's raw words, read the same halves, so the report
     # cannot tell them apart
-    kernel = spray_module._native_kernel
+    kernel = native.compiled
     outputs = []
-    for limit, native in ((1 << 30, kernel), (0, kernel), (0, lambda: None)):
+    for limit, compiled in ((1 << 30, kernel), (0, kernel), (0, lambda: None)):
         monkeypatch.setattr(spray_module, "_PYTHON_HALVES", limit)
-        monkeypatch.setattr(spray_module, "_native_kernel", native)
+        monkeypatch.setattr(native, "compiled", compiled)
         outputs.append(dispatch(argv.split()))
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][0] == 0
@@ -599,7 +598,8 @@ def test_light_commands_load_only_bsi_and_errors(argv, code):
     ("argv", "unloaded", "unloaded_stdlib"),
     [
         (["spray-sim", "--pattern", "ff", "--trials", "10"],
-         {"ruma.arena", "ruma.trace", "ruma.membench"}, ["dataclasses", "fractions"]),
+         {"ruma.arena", "ruma.trace", "ruma.membench", "ruma.native"},
+         ["dataclasses", "fractions"]),
         (["gen-trace", "--events", "10", "--out", "t.trace"],
          {"ruma.arena", "ruma.spray", "ruma.membench"}, ["dataclasses", "fractions"]),
         (["replay", "--trace", "t.trace"], {"ruma.spray", "ruma.membench"},
@@ -622,16 +622,17 @@ def test_numpy_commands_load_only_their_own_layers(
 
 @needs_cc
 def test_replay_and_gen_trace_load_the_trace_kernel(tmp_path):
-    # replay parses, and gen-trace generates and serializes, in ruma.native.trace
+    # replay parses, and gen-trace generates and serializes, in
+    # ruma.native.kernels
     (tmp_path / "t.trace").write_text("a 1 8\nf 1\n", encoding="utf-8")
-    native = {"ruma.native", "ruma.native.trace"}
+    kernels = {"ruma.native", "ruma.native.kernels"}
     for argv in [
         ["replay", "--trace", "t.trace"],
         ["gen-trace", "--events", "10", "--out", "g.trace"],
     ]:
         proc, loaded = _run_cli_listing("ruma", *argv, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert native <= set(loaded), argv
+        assert kernels <= set(loaded), argv
 
 
 def test_importing_ruma_loads_only_its_errors():
@@ -691,11 +692,12 @@ def test_numpy_commands_run_in_a_fresh_process(tmp_path):
 @needs_cc
 def test_a_long_spray_sim_with_a_compiler_loads_no_numpy():
     # above 2**20 halves the compiled kernel draws them; once it is built,
-    # the run starts no process, so it loads neither numpy nor subprocess
-    build("spray")
+    # the run starts no process, so it loads neither numpy nor subprocess,
+    # and the kernel is an extension module, so no ctypes either
+    native.build("kernels")
     argv = ["spray-sim", "--width", "8", "--chain", "2",
             "--pattern", "deadbeefcafebabe", "--trials", "10000000", "--seed", "1"]
-    for package in ("numpy", "subprocess"):
+    for package in ("numpy", "subprocess", "ctypes"):
         proc, loaded = _run_cli_listing(package, *argv)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["estimate"] == 0.0156786

@@ -1,11 +1,11 @@
 """The native build helper: cache hits, rebuilds and the named errors."""
 
-import ctypes
 import os
 import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +13,7 @@ from conftest import child_env, needs_cc, run_python
 from ruma import native
 from ruma.native import NativeError, build
 
-# Builds ruma.native's ``spray`` in a child process and prints the path,
+# Builds ruma.native's ``kernels`` in a child process and prints the path,
 # the process starts it saw and whether subprocess or numpy got loaded.
 # Given a folder and a name as arguments, it builds that folder's source.
 CHILD_BUILD = """
@@ -26,7 +26,7 @@ sys.addaudithook(
 )
 from ruma import native
 from ruma.native import NativeError, build
-name = "spray"
+name = "kernels"
 if sys.argv[1:]:
     native._SOURCES, name = sys.argv[1:]
 try:
@@ -38,10 +38,26 @@ print(sorted(m for m in ("subprocess", "numpy") if m in sys.modules))
 """
 
 
-def probe_source(tmp_path, monkeypatch, body):
-    """Point ruma.native at ``tmp_path``, holding ``probe.c`` with ``body``."""
+def probe_c(value):
+    """A minimal extension module ``probe`` whose ``value`` is the C
+    expression ``value``; an empty one does not compile."""
+    return f"""#include <Python.h>
+static struct PyModuleDef module = {{PyModuleDef_HEAD_INIT, "probe", NULL, -1, NULL}};
+PyMODINIT_FUNC PyInit_probe(void)
+{{
+    PyObject *m = PyModule_Create(&module);
+    if (m != NULL && PyModule_AddIntConstant(m, "value", {value}) < 0)
+        Py_CLEAR(m);
+    return m;
+}}
+"""
+
+
+def probe_source(tmp_path, monkeypatch, value):
+    """Point ruma.native at ``tmp_path``, holding ``probe.c`` made by
+    ``probe_c(value)``."""
     monkeypatch.setattr(native, "_SOURCES", str(tmp_path))
-    (tmp_path / "probe.c").write_text(body, encoding="utf-8")
+    (tmp_path / "probe.c").write_text(probe_c(value), encoding="utf-8")
 
 
 def wrapped_cc(folder):
@@ -57,16 +73,18 @@ def wrapped_cc(folder):
 
 
 @needs_cc
-def test_a_second_build_is_a_cache_hit(tmp_path):
+def test_a_second_build_is_a_cache_hit(tmp_path, monkeypatch):
     # once built, the library is found with cc on PATH, with no PATH at
     # all and with only another cc on it, since its name holds the source
     # and the flags alone; no lookup starts a process or imports subprocess
-    library = build("spray")
+    probe_source(tmp_path, monkeypatch, 1)
+    library = build("probe")
+    args = ("-c", CHILD_BUILD, str(tmp_path), "probe")
     for path in ("", str(tmp_path), str(wrapped_cc(tmp_path / "bin"))):
-        proc = run_python("-c", CHILD_BUILD, env={"PATH": path})
+        proc = run_python(*args, env={"PATH": path})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [library, "[]", "[]"]
-    proc = run_python("-c", CHILD_BUILD)
+    proc = run_python(*args)
     assert proc.stdout.splitlines() == [library, "[]", "[]"]
 
 
@@ -74,7 +92,7 @@ def test_a_second_build_is_a_cache_hit(tmp_path):
 def test_a_recorded_failure_is_retried_once_the_compiler_changes(
     tmp_path, monkeypatch
 ):
-    probe_source(tmp_path, monkeypatch, "int probe(void) { return 4 }\n")
+    probe_source(tmp_path, monkeypatch, "")
     with pytest.raises(NativeError, match="failed to build"):
         build("probe")
     wrapper = wrapped_cc(tmp_path / "bin") / "cc"
@@ -98,9 +116,9 @@ def test_a_recorded_failure_is_retried_once_the_compiler_changes(
 def test_a_changed_source_rebuilds(tmp_path, monkeypatch):
     libraries = []
     for value in (1, 2, 1):
-        probe_source(tmp_path, monkeypatch, f"int probe(void) {{ return {value}; }}\n")
+        probe_source(tmp_path, monkeypatch, value)
         libraries.append(build("probe"))
-        assert ctypes.CDLL(libraries[-1]).probe() == value
+        assert native.load("probe").value == value
     assert libraries[0] != libraries[1]
     assert libraries[2] == libraries[0]
 
@@ -111,7 +129,7 @@ def test_no_cc_and_an_empty_cache_is_the_no_compiler_error(tmp_path):
     proc = run_python("-c", CHILD_BUILD, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "NativeError: no C compiler: no cc on PATH to build spray.c", "[]", "[]"
+        "NativeError: no C compiler: no cc on PATH to build kernels.c", "[]", "[]"
     ]
 
 
@@ -119,7 +137,7 @@ def test_no_cc_and_an_empty_cache_is_the_no_compiler_error(tmp_path):
 def test_a_failed_build_raises_the_compiler_stderr_and_is_not_retried(
     tmp_path, monkeypatch
 ):
-    probe_source(tmp_path, monkeypatch, "int probe(void) { return }\n")
+    probe_source(tmp_path, monkeypatch, "")
     with pytest.raises(NativeError) as first:
         build("probe")
     message = str(first.value)
@@ -136,7 +154,7 @@ def test_a_failed_build_raises_the_compiler_stderr_and_is_not_retried(
 
 @needs_cc
 def test_an_unwritable_cache_is_named(tmp_path, monkeypatch):
-    probe_source(tmp_path, monkeypatch, "int probe(void) { return 3; }\n")
+    probe_source(tmp_path, monkeypatch, 3)
     (tmp_path / "file").write_text("", encoding="utf-8")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
     with pytest.raises(NativeError, match="is not writable"):
@@ -157,13 +175,12 @@ def test_the_cache_defaults_to_the_home_cache(tmp_path, monkeypatch):
 
 @needs_cc
 def test_two_processes_building_at_once_agree(tmp_path):
-    source = "int probe(void) { return 5; }\n"
-    (tmp_path / "probe.c").write_text(source, encoding="utf-8")
+    (tmp_path / "probe.c").write_text(probe_c(5), encoding="utf-8")
     script = (
-        "import ctypes, sys\nfrom ruma import native\n"
+        "from ruma import native\n"
         f"native._SOURCES = {str(tmp_path)!r}\n"
-        "library = native.build('probe')\n"
-        "print(library, ctypes.CDLL(library).probe())\n"
+        "module = native.load('probe')\n"
+        "print(module.__file__, module.value)\n"
     )
     procs = [
         subprocess.Popen(
@@ -180,28 +197,16 @@ def test_two_processes_building_at_once_agree(tmp_path):
 
 
 @needs_cc
-@pytest.mark.skipif(shutil.which("nm") is None, reason="no nm on PATH")
-def test_the_sampler_calls_no_outside_function():
-    # -fno-builtin keeps loops from becoming libc calls; what nm lists
-    # are at most the weak hooks of the C runtime's start files, which
-    # resolve to nothing when absent
-    listing = subprocess.run(
-        ["nm", "-D", "--undefined-only", build("spray")],
-        capture_output=True, text=True, check=True,
-    ).stdout.split("\n")
-    strong = [line for line in listing if line and line.split()[-2] != "w"]
-    assert strong == []
-
-
-@needs_cc
-@pytest.mark.parametrize("name, extension", [("spray", False), ("trace", True)])
-def test_the_c_sources_compile_without_a_warning(name, extension, tmp_path):
-    command = [shutil.which("cc"), *native.FLAGS, "-Wall", "-Wextra", "-Werror"]
-    if extension:
-        include = native._include_dir()
-        if not os.path.exists(os.path.join(include, "Python.h")):
-            pytest.skip(f"no Python.h in {include}")
-        command += [*native.EXTENSION_FLAGS, f"-I{include}"]
+@pytest.mark.parametrize(
+    "name", sorted(path.stem for path in Path(native._SOURCES).glob("*.c"))
+)
+def test_the_c_sources_compile_without_a_warning(name, tmp_path):
+    include = native._include_dir()
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip(f"no Python.h in {include}")
+    command = [
+        shutil.which("cc"), *native.FLAGS, "-Wall", "-Wextra", "-Werror", f"-I{include}"
+    ]
     source = os.path.join(native._SOURCES, f"{name}.c")
     built = subprocess.run(
         [*command, source, "-o", str(tmp_path / f"{name}.so")],
@@ -210,7 +215,7 @@ def test_the_c_sources_compile_without_a_warning(name, extension, tmp_path):
     assert (built.returncode, built.stderr) == (0, "")
 
 
-# Loads ruma.native's ``trace`` extension module in a child process and
+# Loads ruma.native's ``kernels`` extension module in a child process and
 # prints its file, the process starts it saw and whether subprocess or
 # sysconfig got loaded; a first argument is the extension suffix to key on.
 CHILD_LOAD = """
@@ -226,7 +231,7 @@ from ruma.native import NativeError, load
 if sys.argv[1:]:
     native._EXTENSION_SUFFIX = sys.argv[1]
 try:
-    print(load("trace").__file__)
+    print(load("kernels").__file__)
 except NativeError as exc:
     print("NativeError:", exc)
 print(starts)
@@ -236,9 +241,9 @@ print(sorted(m for m in ("subprocess", "sysconfig") if m in sys.modules))
 
 @needs_cc
 def test_an_extension_module_hit_starts_nothing_and_needs_no_compiler():
-    module = native.load("trace")
-    assert module.__name__ == "ruma.native.trace"
-    assert module.__file__ == build("trace", extension=True)
+    module = native.load("kernels")
+    assert module.__name__ == "ruma.native.kernels"
+    assert module.__file__ == build("kernels")
     assert module.__file__.endswith(native._EXTENSION_SUFFIX)
     for path in ("", os.environ["PATH"]):
         proc = run_python("-c", CHILD_LOAD, env={"PATH": path})
@@ -250,12 +255,12 @@ def test_an_extension_module_hit_starts_nothing_and_needs_no_compiler():
 def test_an_extension_module_keyed_for_another_interpreter_is_not_loaded():
     # the same source and flags, built for this interpreter, are in the
     # cache; a Python with another suffix must not take them
-    mine = native.load("trace").__file__
+    mine = native.load("kernels").__file__
     other = ".cpython-399-x86_64-linux-gnu.so"
     proc = run_python("-c", CHILD_LOAD, other, env={"PATH": ""})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "NativeError: no C compiler: no cc on PATH to build trace.c", "[]", "[]"
+        "NativeError: no C compiler: no cc on PATH to build kernels.c", "[]", "[]"
     ]
     proc = run_python("-c", CHILD_LOAD, native._EXTENSION_SUFFIX, env={"PATH": ""})
     assert proc.stdout.splitlines()[0] == mine
@@ -268,29 +273,93 @@ def test_an_include_directory_without_python_h_is_a_recorded_failure(
     monkeypatch.setattr(native, "_include_dir", lambda: str(tmp_path))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     with pytest.raises(NativeError, match="Python.h") as first:
-        native.load("trace")
+        native.load("kernels")
     assert "(exit " in str(first.value)
     with pytest.raises(NativeError, match=r"(?s)\(recorded in .*Python\.h: No such file"):
-        native.load("trace")
+        native.load("kernels")
     # the record names the header it lacked: once the header is there, it
     # is a new build
     (tmp_path / "Python.h").write_text("#error a header, but not Python's\n")
     with pytest.raises(NativeError, match=r"(?s)\(exit .*not Python's"):
-        native.load("trace")
+        native.load("kernels")
 
 
 @needs_cc
 @pytest.mark.skipif(shutil.which("nm") is None, reason="no nm on PATH")
 def test_the_parse_kernel_links_to_the_interpreter_alone():
-    # -DNDEBUG keeps Python.h's inline asserts from calling __assert_fail
+    # the module of every kernel, the spray sampler's loops among them:
+    # -fno-builtin keeps loops from becoming libc calls, and -DNDEBUG
+    # keeps Python.h's inline asserts from calling __assert_fail; what nm
+    # lists beside Py* and _Py* symbols are at most the weak hooks of the
+    # C runtime's start files, which resolve to nothing when absent
     listing = subprocess.run(
-        ["nm", "-D", "--undefined-only", build("trace", extension=True)],
+        ["nm", "-D", "--undefined-only", build("kernels")],
         capture_output=True, text=True, check=True,
     ).stdout.split("\n")
     fields = [line.split() for line in listing if line]
     assert fields and all(kind in ("U", "w") for kind, _ in fields)
     strong = [name for kind, name in fields if kind != "w"]
     assert strong and all(name.startswith(("Py", "_Py")) for name in strong)
+
+
+@needs_cc
+@pytest.mark.skipif(
+    None in (shutil.which("nm"), shutil.which("readelf")), reason="no nm or readelf on PATH"
+)
+def test_the_sampler_calls_no_outside_function(tmp_path):
+    # spray_successes runs count_successes with the GIL released, so the
+    # sampler may call neither the interpreter nor libc. Built as an
+    # object with a section per function and nothing inlined, the
+    # relocations of each section are the calls of that function: from
+    # count_successes they may reach only functions of kernels.c, and
+    # none of Python.h's inline ones
+    include = native._include_dir()
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip(f"no Python.h in {include}")
+    obj = str(tmp_path / "kernels.o")
+    subprocess.run(
+        [
+            shutil.which("cc"), *(flag for flag in native.FLAGS if flag != "-shared"),
+            "-c", "-ffunction-sections", "-fno-inline", f"-I{include}",
+            os.path.join(native._SOURCES, "kernels.c"), "-o", obj,
+        ],
+        capture_output=True, text=True, check=True,
+    )
+    undefined = set(
+        subprocess.run(
+            ["nm", "--undefined-only", "--format=just-symbols", obj],
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+    )
+    calls = {}  # function -> the symbols its section relocates against
+    section = None
+    for line in subprocess.run(
+        ["readelf", "-rW", obj], capture_output=True, text=True, check=True
+    ).stdout.splitlines():
+        if line.startswith("Relocation section"):
+            name = line.split("'")[1]
+            section = None
+            if name.startswith(".rela.text."):
+                section = calls.setdefault(name[len(".rela.text."):], [])
+        elif section is not None and len(line.split()) >= 5:
+            section.append(line.split()[4])
+    reached, outside = set(), []
+    todo = [name for name in calls if name.split(".")[0] == "count_successes"]
+    while todo:
+        function = todo.pop()
+        if function in reached:
+            continue
+        reached.add(function)
+        for target in calls.get(function, ()):
+            if target.startswith(".text."):
+                todo.append(target[len(".text."):])
+            elif target in undefined:
+                outside.append(target)
+            elif not target.startswith("."):
+                todo.append(target)
+    assert any(name.split(".")[0] == "philox" for name in reached), reached
+    assert outside == []
+    assert not any(name.startswith(("Py", "_Py")) for name in reached), reached
 
 
 # Replays the trace file named by its first argument as ``ruma replay``

@@ -15,7 +15,7 @@ import hashlib
 
 import pytest
 
-from ruma import Arena, ArenaConfig, spray
+from ruma import Arena, ArenaConfig, native
 from ruma.cli import dispatch
 from ruma.trace import generate_trace
 
@@ -150,7 +150,7 @@ def test_seeded_output_digest_is_unchanged(case, files):
 def test_seeded_spray_digest_is_unchanged_without_the_kernel(case, monkeypatch):
     # the runs above spray._PYTHON_HALVES, from numpy's raw words, as on a
     # host with no C compiler
-    monkeypatch.setattr(spray, "_native_kernel", lambda: None)
+    monkeypatch.setattr(native, "compiled", lambda: None)
     command, exit_code, digest = CASES[case]
     code, out = dispatch(command.split())
     assert code == exit_code

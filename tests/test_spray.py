@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
-from ruma import philox
+from ruma import native, philox
 from ruma import spray as spray_module
 from ruma.spray import (
     AttackScenario,
@@ -273,7 +273,7 @@ def test_monte_carlo_validates_trials():
         monte_carlo(scenario(), 10, seed=-1)
 
 
-NATIVE_KERNEL = spray_module._native_kernel
+NATIVE_KERNEL = native.compiled
 
 
 def use_source(monkeypatch, source, halves):
@@ -284,8 +284,7 @@ def use_source(monkeypatch, source, halves):
         spray_module, "_PYTHON_HALVES", halves if source == "philox" else 0
     )
     monkeypatch.setattr(
-        spray_module, "_native_kernel",
-        NATIVE_KERNEL if source == "native" else lambda: None,
+        native, "compiled", NATIVE_KERNEL if source == "native" else lambda: None
     )
 
 
@@ -310,7 +309,7 @@ def each_source(monkeypatch):
 @needs_cc
 def test_the_kernel_builds_where_there_is_a_compiler():
     # otherwise "native" in each_source would quietly be numpy again
-    assert NATIVE_KERNEL() is not None
+    assert callable(NATIVE_KERNEL().spray_successes)
 
 
 ORACLE_GRID = [
@@ -422,7 +421,7 @@ def test_a_run_where_every_shift_reads_back_draws_nothing(
 
     monkeypatch.setattr(philox, "_batches", no_draws)
     monkeypatch.setattr(np.random, "Philox", no_draws)
-    monkeypatch.setattr(spray_module, "_native_kernel", no_draws)
+    monkeypatch.setattr(native, "compiled", no_draws)
     sc = scenario(width=width, g=g, k=k, pattern=pattern)
     for trials in (spray_module._PYTHON_HALVES // k, spray_module._PYTHON_HALVES + 1):
         result = monte_carlo(sc, trials, seed=1)
@@ -449,7 +448,7 @@ def test_monte_carlo_draws_from_philox_up_to_the_threshold(monkeypatch, extra, s
     # exactly _PYTHON_HALVES halves come from ruma.philox; one more from
     # the compiled kernel, or from numpy where the kernel cannot be built
     if source == "_numpy_successes":
-        monkeypatch.setattr(spray_module, "_native_kernel", lambda: None)
+        monkeypatch.setattr(native, "compiled", lambda: None)
     elif source == "_native_successes" and NATIVE_KERNEL() is None:
         pytest.skip("no compiled kernel without cc")
     calls = []

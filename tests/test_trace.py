@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruma import ArenaConfig, CapacityError, cli
+from ruma import ArenaConfig, CapacityError, cli, native
 from ruma import trace as trace_module
 from ruma.arena import Arena
 from ruma.errors import TraceError
@@ -196,6 +196,20 @@ def test_parse_keeps_one_str_per_id():
     assert realloc[1] is alloc[1] and free[1] is alloc[1]
 
 
+class Lines(list):
+    """A list whose iteration yields another line than it holds."""
+
+    def __iter__(self):
+        yield "a 9 9\n"
+
+
+@on_each_parse_path
+def test_a_list_subclass_is_parsed_as_it_iterates():
+    # the kernel reads a list's storage, so it takes nothing from a
+    # subclass, whose own __iter__ the Python loop follows
+    assert parse_trace(Lines(["a 1 8\n"])) == [("alloc", "9", 9, 1)]
+
+
 @on_each_parse_path
 def test_serialize_parse_round_trip_is_canonical_text():
     text = "# top\na 1 32\n\nf   1  # done\na 2 8\n"
@@ -244,7 +258,7 @@ def test_round_trip_property(choices):
 
 # -- the compiled kernel and the Python loop -------------------------------
 
-KERNEL = trace_module._kernel
+KERNEL = native.compiled
 
 
 @needs_cc
@@ -261,7 +275,7 @@ def kernel():
     """The compiled module; the test skips where it does not build."""
     found = KERNEL()
     if found is None:
-        pytest.skip("the trace kernels do not build here")
+        pytest.skip("the compiled kernels do not build here")
     return found
 
 
@@ -277,7 +291,7 @@ def _outcome(call, *args, **kwargs):
 def _by_the_loops(call, *args, **kwargs):
     """``call(*args, **kwargs)`` with ``ruma.trace``'s Python loops alone."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trace_module, "_kernel", lambda: None)
+        patch.setattr(native, "compiled", lambda: None)
         return call(*args, **kwargs)
 
 
@@ -325,6 +339,7 @@ def test_the_kernel_takes_nothing_but_str_lines_in_a_list_with_a_dict(kernel):
         (("a 1 8\n",), {}),
         (["a 1 8\n"], OrderedDict()),
         ([type("Line", (str,), {})("a 1 8\n")], {}),
+        (type("Lines", (list,), {})(["a 1 8\n"]), {}),
     ]:
         assert kernel.parse(lines, live, 1, events) == 0
         assert (live, events) == (type(live)(), [])
@@ -363,7 +378,7 @@ def _parsed_in_batches(lines, cuts, kernel):
     ``cuts``, with ``kernel`` as parse_trace's kernel; or the error's text,
     line and column."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trace_module, "_kernel", lambda: kernel)
+        patch.setattr(native, "compiled", lambda: kernel)
         live, events, first = {}, [], 0
         try:
             for end in [*sorted(cuts), len(lines)]:
