@@ -261,12 +261,14 @@ class ArenaCounters:
 
 @dataclass
 class ReplayStats:
-    """Structured measurement output of :meth:`Arena.stats` and trace replay.
+    """Structured measurement output of :meth:`Arena.stats`, which trace
+    replay returns as its report.
 
     ``offset_histogram`` counts the start offsets of every allocation ever
-    made (length ``pointer_width``); straddle counts cover live chunks
-    only. ``peak_reserved`` and ``histogram`` are filled by trace
-    replay and omitted from the JSON dict otherwise.
+    made (length ``pointer_width``) and ``histogram`` every requested size
+    by power-of-two bucket (a realloc's new size counts as an alloc);
+    straddle counts cover live chunks only. ``peak_reserved`` is the most
+    bytes ever reserved at once.
     """
 
     live_bytes: int
@@ -278,11 +280,11 @@ class ReplayStats:
     per_class: list
     promotions: int
     aligned_allocs: int
-    peak_reserved: int | None = None
-    histogram: list | None = None
+    peak_reserved: int
+    histogram: list
 
     def as_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return asdict(self)
 
 
 class Arena:
@@ -322,6 +324,7 @@ class Arena:
         self._reserved_bytes = 0  # running, for the peak
         self._peak_reserved = 0
         self._offset_hist = [0] * config.pointer_width
+        self._sizes = {}  # requests per size
         self._class_capacity = [0] * len(self._table)
 
     # -- class/placement machinery --------------------------------------
@@ -468,6 +471,7 @@ class Arena:
         if self._reserved_bytes > self._peak_reserved:
             self._peak_reserved = self._reserved_bytes
         self._offset_hist[offset] += 1
+        self._sizes[size] = self._sizes.get(size, 0) + 1
         # _spans_border, inline on the hot path
         guarded = size + cfg.pointer_width
         if guarded <= CACHE_LINE:
@@ -534,6 +538,10 @@ class Arena:
             }
             for i, cls in enumerate(self._table)
         ]
+        buckets = {}
+        for size, count in self._sizes.items():
+            bucket = _next_pow2(size)
+            buckets[bucket] = buckets.get(bucket, 0) + count
         reserved = self._reserved_bytes
         return ReplayStats(
             live_bytes=live_bytes,
@@ -545,4 +553,8 @@ class Arena:
             per_class=per_class,
             promotions=self.counters.promotions,
             aligned_allocs=self.counters.aligned_allocs,
+            peak_reserved=self._peak_reserved,
+            histogram=[
+                {"bucket_max": b, "count": buckets[b]} for b in sorted(buckets)
+            ],
         )

@@ -43,7 +43,9 @@
  * interned kind string (the very object that parse and generate put in
  * their events), an ASCII str id and, but for a free, an int size in
  * [0, 2**64), and how many those are. serialize_trace's loop writes the
- * rest, and alone raises on a malformed event.
+ * rest, each id and size as str() spells it: it checks neither, so a None
+ * size is written as "None" and an id with a space as two tokens, and it
+ * raises only on an unknown kind or an event that is not four items.
  *
  * spray_successes(k0, k1, first_half, chains, k, field) counts, of the
  * `chains` chains of k 32-bit halves that start at half first_half of
@@ -65,6 +67,28 @@
 enum { ALLOC, REALLOC, FREE };
 
 static PyObject *kinds[3]; /* "alloc", "realloc", "free", interned */
+
+/* A new event tuple (kind, ident, size, line), or NULL with an exception
+ * set; steals `size`, which may be NULL after a failed call, and borrows
+ * `ident` */
+static PyObject *event(int kind, PyObject *ident, PyObject *size, Py_ssize_t line)
+{
+    if (size == NULL)
+        return NULL;
+    PyObject *tuple = PyTuple_New(4);
+    PyObject *line_obj = PyLong_FromSsize_t(line);
+    if (tuple == NULL || line_obj == NULL) {
+        Py_XDECREF(tuple);
+        Py_XDECREF(line_obj);
+        Py_DECREF(size);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(tuple, 0, Py_NewRef(kinds[kind]));
+    PyTuple_SET_ITEM(tuple, 1, Py_NewRef(ident));
+    PyTuple_SET_ITEM(tuple, 2, size);
+    PyTuple_SET_ITEM(tuple, 3, line_obj);
+    return tuple;
+}
 
 /* Take `line` if it is canonical and live-consistent: 1 when taken, 0
  * when not, -1 with an exception set when the interpreter fails. */
@@ -131,24 +155,14 @@ static int take(PyObject *line, PyObject *live, Py_ssize_t lineno, PyObject *eve
         ident = own;
     }
 
-    PyObject *event = PyTuple_New(4);
     PyObject *size_obj = kind == FREE ? Py_NewRef(Py_None)
                                       : PyLong_FromUnsignedLongLong(size);
-    PyObject *line_obj = PyLong_FromSsize_t(lineno);
-    if (event == NULL || size_obj == NULL || line_obj == NULL) {
-        Py_XDECREF(event);
-        Py_XDECREF(size_obj);
-        Py_XDECREF(line_obj);
-        Py_DECREF(ident);
+    PyObject *item = event(kind, ident, size_obj, lineno);
+    Py_DECREF(ident);
+    if (item == NULL)
         return -1;
-    }
-    Py_INCREF(kinds[kind]);
-    PyTuple_SET_ITEM(event, 0, kinds[kind]);
-    PyTuple_SET_ITEM(event, 1, ident);
-    PyTuple_SET_ITEM(event, 2, size_obj);
-    PyTuple_SET_ITEM(event, 3, line_obj);
-    int appended = PyList_Append(events, event);
-    Py_DECREF(event);
+    int appended = PyList_Append(events, item);
+    Py_DECREF(item);
     return appended < 0 ? -1 : 1;
 }
 
@@ -374,24 +388,6 @@ static uint64_t round_half_even(double x)
     return whole + (rest > 0.5 || (rest == 0.5 && whole & 1));
 }
 
-/* A new event tuple (kind, ident, size, 0); steals `size`, which may be
- * NULL after a failed call, and borrows the rest */
-static PyObject *event(int kind, PyObject *ident, PyObject *size)
-{
-    if (size == NULL)
-        return NULL;
-    PyObject *tuple = PyTuple_New(4);
-    if (tuple == NULL) {
-        Py_DECREF(size);
-        return NULL;
-    }
-    PyTuple_SET_ITEM(tuple, 0, Py_NewRef(kinds[kind]));
-    PyTuple_SET_ITEM(tuple, 1, Py_NewRef(ident));
-    PyTuple_SET_ITEM(tuple, 2, size);
-    PyTuple_SET_ITEM(tuple, 3, PyLong_FromLong(0)); /* a cached small int */
-    return tuple;
-}
-
 /* The size of an alloc or realloc, as a new int: exp(mean + sigma * z)
  * clamped to [min_size, max_size] and rounded, or NULL with an
  * exception set */
@@ -466,7 +462,7 @@ static PyObject *generate(PyObject *Py_UNUSED(self), PyObject *args)
             if (word >= realloc_below) {
                 PyObject *ident = live[chosen];
                 live[chosen] = live[--n_live];
-                if ((item = event(FREE, ident, Py_NewRef(Py_None))) == NULL)
+                if ((item = event(FREE, ident, Py_NewRef(Py_None), 0)) == NULL)
                     goto fail;
                 PyList_SET_ITEM(out, i, item);
                 continue;
@@ -474,7 +470,7 @@ static PyObject *generate(PyObject *Py_UNUSED(self), PyObject *args)
         }
         PyObject *size = draw_size(&s, &t, mean, sigma, min_size, max_size);
         if (chosen >= 0) {
-            item = event(REALLOC, live[chosen], size);
+            item = event(REALLOC, live[chosen], size, 0);
         } else {
             if (n_live == room) {
                 room = room ? 2 * room : 1024;
@@ -491,7 +487,7 @@ static PyObject *generate(PyObject *Py_UNUSED(self), PyObject *args)
                 Py_XDECREF(size);
                 goto fail;
             }
-            item = event(ALLOC, ident, size);
+            item = event(ALLOC, ident, size, 0);
             Py_DECREF(ident);
             if (item != NULL)
                 live[n_live++] = ident;

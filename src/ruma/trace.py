@@ -10,9 +10,12 @@ comment, tokens separated by whitespace:
 SIZE is one or more ASCII digits.
 IDs are opaque tokens, unique among live allocations. Parsing validates
 referential integrity, so replay never sees a free or realloc of a dead
-id. Replay is sequential by definition. Parsing holds no state of its
-own: a caller that parses a trace in batches passes the live-id dict and
-the first line number from one batch to the next, so ``ruma replay``
+id. Replay is sequential by definition, and it only replays: it hands
+each event to the arena, checks liveness again for hand-built events,
+and returns the arena's own report, :meth:`~ruma.arena.Arena.stats`,
+peak reserve and request sizes included. Parsing holds no state of
+its own: a caller that parses a trace in batches passes the live-id dict
+and the first line number from one batch to the next, so ``ruma replay``
 feeds each batch's events to the arena as it parses, and the file's
 event list never exists in full.
 
@@ -52,7 +55,6 @@ from __future__ import annotations
 
 import io
 import math
-from collections import Counter
 from itertools import chain, islice
 from typing import TYPE_CHECKING
 
@@ -190,16 +192,9 @@ def serialize_trace(events) -> str:
 
 
 def replay_into(arena: Arena, events) -> ReplayStats:
-    """Run the events through ``arena`` and return the final stats,
-    extended with peak reserved bytes and the power-of-two histogram of
-    requested sizes (alloc and realloc events both count)."""
-    from .arena import _next_pow2
-
+    """Run the events through ``arena`` and return its final
+    :meth:`~ruma.arena.Arena.stats`."""
     handles = {}
-    # requests per size, counted as they come; a Counter's ``+=`` costs
-    # twice as much per event as a plain dict's ``get``
-    sizes = {}
-    seen = sizes.get
     alloc, free, realloc = arena.alloc, arena.free, arena.realloc
     try:
         for index, (kind, ident, size, line) in enumerate(events):
@@ -207,7 +202,6 @@ def replay_into(arena: Arena, events) -> ReplayStats:
                 if ident in handles:
                     raise TraceError(f"id {ident!r} is already live", line=line)
                 handles[ident] = alloc(size).id
-                sizes[size] = seen(size, 0) + 1
             elif kind == "free":
                 handle = handles.pop(ident, None)
                 if handle is None:
@@ -218,22 +212,13 @@ def replay_into(arena: Arena, events) -> ReplayStats:
                 if handle is None:
                     raise TraceError(f"realloc of unknown id {ident!r}", line=line)
                 handles[ident] = realloc(handle, size).id
-                sizes[size] = seen(size, 0) + 1
             else:
                 raise TraceError(f"unknown event kind {kind!r}", line=line)
     except CapacityError as exc:
         raise CapacityError(
             f"replay aborted at event {index + 1} (line {line}): {exc}"
         ) from exc
-    histogram = Counter()
-    for size, count in sizes.items():
-        histogram[_next_pow2(size)] += count
-    stats = arena.stats()
-    stats.peak_reserved = arena.peak_reserved
-    stats.histogram = [
-        {"bucket_max": b, "count": histogram[b]} for b in sorted(histogram)
-    ]
-    return stats
+    return arena.stats()
 
 
 def replay(events, config: ArenaConfig) -> ReplayStats:

@@ -487,6 +487,25 @@ def test_stats_recomputed_from_allocation_list():
     assert by_class[24]["capacity"] >= 1000
 
 
+def test_stats_count_every_requested_size_and_the_peak():
+    # the arena's own report, no replay: an aligned alloc counts, a
+    # realloc's new size counts once, and a refused request not at all
+    arena = make_arena(rng_seed=27)
+    kept = arena.alloc(100, align=512)
+    moved = arena.alloc(10)
+    arena.realloc(moved.id, 3000)
+    with pytest.raises(ValueError):
+        arena.alloc(8, align=3)
+    arena.free(kept.id)
+    stats = arena.stats()
+    assert stats.histogram == [
+        {"bucket_max": 16, "count": 1},
+        {"bucket_max": 128, "count": 1},
+        {"bucket_max": 4096, "count": 1},
+    ]
+    assert stats.peak_reserved == arena.peak_reserved > stats.reserved_bytes
+
+
 def test_stats_dict_shape(schemas):
     import jsonschema
 

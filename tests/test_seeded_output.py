@@ -17,7 +17,7 @@ import pytest
 
 from ruma import Arena, ArenaConfig, native
 from ruma.cli import dispatch
-from ruma.trace import generate_trace
+from ruma.trace import generate_trace, replay_into
 
 EVENTS = "20000"  # 13005 allocations: past one batch of offsets (8192 halves)
 MIXED = "--median 512 --sigma 1.5 --max-size 65536"
@@ -180,26 +180,29 @@ PLACEMENTS = {
 }
 
 
+class _PlacementArena(Arena):
+    """An arena that hashes the absolute start and the offset of every
+    chunk it places, in order; ``realloc`` places its chunk through
+    ``self.alloc``, so this sees every alloc and realloc event."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.placements = hashlib.sha256()
+
+    def alloc(self, size, *, align=None):
+        rec = super().alloc(size, align=align)
+        self.placements.update(f"{rec.start} {rec.offset}\n".encode())
+        return rec
+
+
 @functools.cache
 def _replay_placements(case):
     """Replay ``case``'s trace through a fresh arena; return the arena and
-    the SHA-256 of the absolute start and the offset of every chunk an
-    alloc or realloc event placed, in event order."""
+    the SHA-256 of where every alloc or realloc event placed its chunk."""
     events, seed, shape, config, _ = PLACEMENTS[case]
-    arena = Arena(ArenaConfig(**config))
-    digest = hashlib.sha256()
-    handles = {}
-    for kind, ident, size, _ in generate_trace(events, seed, **shape):
-        if kind == "free":
-            arena.free(handles.pop(ident))
-            continue
-        if kind == "alloc":
-            rec = arena.alloc(size)
-        else:
-            rec = arena.realloc(handles[ident], size)
-        handles[ident] = rec.id
-        digest.update(f"{rec.start} {rec.offset}\n".encode())
-    return arena, digest.hexdigest()
+    arena = _PlacementArena(ArenaConfig(**config))
+    replay_into(arena, generate_trace(events, seed, **shape))
+    return arena, arena.placements.hexdigest()
 
 
 @pytest.mark.parametrize("case", PLACEMENTS)

@@ -557,9 +557,11 @@ def test_replay_into_checks_liveness_of_hand_built_events(events, message):
 @on_each_parse_path
 def test_replay_into_exposes_arena():
     arena = Arena(ArenaConfig(rng_seed=6))
-    stats = replay_into(arena, parse_trace("a 1 24\n"))
+    stats = replay_into(arena, parse_trace("a 1 10\na 2 300\nr 2 24\nf 1\n"))
     assert len(arena.live_allocations()) == 1
     assert stats.live_bytes == 24
+    # the report is the arena's own, histogram and peak included
+    assert stats.as_dict() == arena.stats().as_dict()
 
 
 @on_each_parse_path
