@@ -41,11 +41,12 @@
  * serialize(events) returns (text, taken): the canonical text of the
  * events at the head of the list `events` that are exact 4-tuples of an
  * interned kind string (the very object that parse and generate put in
- * their events), an ASCII str id and, but for a free, an int size in
- * [0, 2**64), and how many those are. serialize_trace's loop writes the
- * rest, each id and size as str() spells it: it checks neither, so a None
- * size is written as "None" and an id with a space as two tokens, and it
- * raises only on an unknown kind or an event that is not four items.
+ * their events), an exact str id of printable ASCII other than '#' (the
+ * ids parse takes) and, but for a free, an int size in [0, 2**64), and
+ * how many those are. serialize_trace's loop writes the rest as str()
+ * spells each id and size, and raises ValueError for an event whose text
+ * parse_trace would not read back: an id that is not one token, or a
+ * size that is not a non-negative int.
  *
  * spray_successes(k0, k1, first_half, chains, k, field) counts, of the
  * `chains` chains of k 32-bit halves that start at half first_half of
@@ -54,12 +55,23 @@
  * Half h of the stream is 32-bit half h % 2 of word h / 2, the low half
  * first, as numpy's next_uint32 serves them. It releases the GIL while
  * it counts; its arguments are not checked for overflow, so the caller
- * keeps first_half + chains * k below 2**64.
+ * keeps first_half + chains * k below 2**64. On x86-64, where CPUID and
+ * XGETBV show, once, when the module loads, AVX512F and POPCNT and an OS
+ * that saves the opmask and ZMM registers, chains of at most 8 halves are
+ * counted over 16 Philox blocks at a time, in two groups of 8 lanes: each
+ * half's pass bit is taken in stream order and every chain judged from
+ * them as the scalar loop judges it. A call of fewer than 64 chains, the
+ * chains at a call's end that do not fill 64 halves, and every longer
+ * chain, whose early stop can skip whole blocks, stay on the scalar
+ * loop, which is the only path elsewhere (and where RUMA_SCALAR_SAMPLER
+ * is defined, as a test builds it to compare the two). sampler() returns
+ * the path taken: "avx512f" or "scalar".
  *
  * The module calls nothing outside the interpreter, so the library needs
  * no symbol beyond Py* and _Py* ones: exp and log1p are the math
- * module's functions, called as Python calls them, and no copy is left
- * to memcpy (ruma.native builds with -fno-builtin).
+ * module's functions, called as Python calls them, no copy is left to
+ * memcpy (ruma.native builds with -fno-builtin), and CPUID and XGETBV
+ * are inline instructions.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -522,7 +534,8 @@ static PyObject *serialize(PyObject *Py_UNUSED(self), PyObject *events)
             int kind = 0;
             while (kind < 3 && kinds[kind] != kind_obj)
                 kind++;
-            if (kind == 3 || !PyUnicode_CheckExact(ident) || !PyUnicode_IS_ASCII(ident))
+            if (kind == 3 || !PyUnicode_CheckExact(ident) || !PyUnicode_IS_ASCII(ident) ||
+                PyUnicode_GET_LENGTH(ident) == 0)
                 break;
             /* a free's size is not written, whatever it is */
             unsigned long long size = 0;
@@ -550,9 +563,13 @@ static PyObject *serialize(PyObject *Py_UNUSED(self), PyObject *events)
             char *p = text + length;
             *p++ = "arf"[kind];
             *p++ = ' ';
-            const char *id = (const char *)PyUnicode_1BYTE_DATA(ident);
-            for (Py_ssize_t j = 0; j < id_length; j++)
+            /* the characters parse takes in an id; the loop judges the rest */
+            const Py_UCS1 *id = PyUnicode_1BYTE_DATA(ident);
+            Py_ssize_t j = 0;
+            for (; j < id_length && id[j] > ' ' && id[j] < 0x7f && id[j] != '#'; j++)
                 *p++ = id[j];
+            if (j < id_length)
+                break;
             if (kind != FREE) {
                 *p++ = ' ';
                 p = write_decimal(p, size);
@@ -568,16 +585,178 @@ static PyObject *serialize(PyObject *Py_UNUSED(self), PyObject *events)
 
 /* ---- spray_successes: the sampler of ruma.spray.monte_carlo ---- */
 
+/* 1 once PyInit_kernels has found that this CPU runs count_vector */
+static int vector_sampler;
+
+#if defined(__x86_64__) && !defined(RUMA_SCALAR_SAMPLER)
+#define VECTOR_SAMPLER 1
+#include <cpuid.h>
+#include <immintrin.h>
+
+/* the vector code's target. POPCNT is named too: GCC implies it with
+ * AVX512F, clang does not, and without it __builtin_popcountll is a call
+ * to libgcc's __popcountdi2 */
+#define VECTOR __attribute__((target("avx512f,popcnt")))
+
+/* 1 when the CPU has AVX512F and POPCNT (CPUID leaves 7 and 1) and the
+ * OS saves the opmask and ZMM registers on a switch (XGETBV's XCR0) */
+static int cpu_has_vector(void)
+{
+    unsigned int a, b, c, d, xcr0_low, xcr0_high;
+    if (!__get_cpuid(1, &a, &b, &c, &d) || !(c & bit_POPCNT) || !(c & bit_OSXSAVE))
+        return 0;
+    if (!__get_cpuid_count(7, 0, &a, &b, &c, &d) || !(b & bit_AVX512F))
+        return 0;
+    __asm__("xgetbv" : "=a"(xcr0_low), "=d"(xcr0_high) : "c"(0));
+    uint64_t xcr0 = (uint64_t)xcr0_high << 32 | xcr0_low;
+    /* the XMM and YMM state, the opmasks, ZMM0-15's upper halves, ZMM16-31 */
+    return (xcr0 & 0xE6) == 0xE6;
+}
+
+/* 8 consecutive Philox blocks, one per 64-bit lane: xw holds word w of
+ * each */
+struct lanes {
+    __m512i x0, x1, x2, x3;
+};
+
+/* The high 64 bits of a * m in each lane, and the low ones in *low:
+ * four 32x32 -> 64-bit products, m's halves each in the low 32 bits of
+ * m_low and m_high */
+VECTOR static inline __m512i mul_wide(__m512i a, __m512i m_low, __m512i m_high,
+                                      __m512i *low)
+{
+    __m512i a_high = _mm512_srli_epi64(a, 32);
+    __m512i ll = _mm512_mul_epu32(a, m_low), lh = _mm512_mul_epu32(a, m_high);
+    __m512i hl = _mm512_mul_epu32(a_high, m_low), hh = _mm512_mul_epu32(a_high, m_high);
+    /* no sum carries out: (2**32 - 1)**2 + 2 * (2**32 - 1) < 2**64 */
+    __m512i t = _mm512_add_epi64(hl, _mm512_srli_epi64(ll, 32));
+    __m512i u = _mm512_add_epi64(lh, _mm512_and_si512(t, _mm512_set1_epi64(0xFFFFFFFF)));
+    *low = _mm512_mask_blend_epi32(0xAAAA, ll, _mm512_slli_epi64(u, 32));
+    return _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(t, 32)),
+                            _mm512_srli_epi64(u, 32));
+}
+
+/* One round of philox() in every lane, under the round keys k0 and k1 */
+VECTOR static inline void round8(struct lanes *g, __m512i k0, __m512i k1)
+{
+    __m512i low0, low2;
+    __m512i high0 = mul_wide(g->x0, _mm512_set1_epi64(0xE14C6C93),
+                             _mm512_set1_epi64(0xD2E7470E), &low0);
+    __m512i high2 = mul_wide(g->x2, _mm512_set1_epi64(0x95121157),
+                             _mm512_set1_epi64(0xCA5A8263), &low2);
+    /* 0x96: the XOR of all three */
+    g->x0 = _mm512_ternarylogic_epi64(high2, g->x1, k0, 0x96);
+    g->x1 = low2;
+    g->x2 = _mm512_ternarylogic_epi64(high0, g->x3, k1, 0x96);
+    g->x3 = low0;
+}
+
+/* The 8 pairs of bits of m, each moved to the low two bits of its own
+ * byte */
+static uint64_t spread_pairs(uint64_t m)
+{
+    m = (m | m << 24) & 0x000000FF000000FFu;
+    m = (m | m << 12) & 0x000F000F000F000Fu;
+    return (m | m << 6) & 0x0303030303030303u;
+}
+
+/* The halves of g that ANDed with `field` are zero, as a bit each in
+ * stream order: bit 8 * lane + 2 * word + half */
+VECTOR static inline uint64_t passes(const struct lanes *g, __m512i field)
+{
+    return spread_pairs(_mm512_testn_epi32_mask(g->x0, field)) |
+           spread_pairs(_mm512_testn_epi32_mask(g->x1, field)) << 2 |
+           spread_pairs(_mm512_testn_epi32_mask(g->x2, field)) << 4 |
+           spread_pairs(_mm512_testn_epi32_mask(g->x3, field)) << 6;
+}
+
+/* bits[0] and bits[1]: passes() of blocks block to block + 7 and of the
+ * 8 after them, two groups in step so that each hides the other's
+ * latency */
+VECTOR static inline void philox16(uint64_t block, uint64_t k0, uint64_t k1,
+                                   __m512i field, uint64_t bits[2])
+{
+    __m512i counter = _mm512_add_epi64(_mm512_set1_epi64((long long)block),
+                                       _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0));
+    __m512i zero = _mm512_setzero_si512();
+    struct lanes a = {counter, zero, zero, zero};
+    struct lanes b = {_mm512_add_epi64(counter, _mm512_set1_epi64(8)), zero, zero, zero};
+#pragma GCC unroll 10
+    for (int round = 0; round < 10; round++) {
+        __m512i key0 = _mm512_set1_epi64((long long)k0);
+        __m512i key1 = _mm512_set1_epi64((long long)k1);
+        round8(&a, key0, key1);
+        round8(&b, key0, key1);
+        k0 += 0x9E3779B97F4A7C15u;
+        k1 += 0xBB67AE8584CAA73Bu;
+    }
+    bits[0] = passes(&a, field);
+    bits[1] = passes(&b, field);
+}
+
+/* count_successes for chains of k <= 8 halves from half *first on. Such
+ * a chain never lets the scalar loop skip a block, so every block is
+ * computed either way: here 16 at a time, as pass bits. The chains that
+ * start in each 64 halves are judged once the next 64's bits are there
+ * too, while all of them are among the *chains left; *first and *chains
+ * are left at the chains not counted, for the scalar loop. */
+VECTOR static uint64_t count_vector(uint64_t k0, uint64_t k1, uint64_t *first,
+                                    uint64_t *chains, uint64_t k, uint32_t field)
+{
+    __m512i fields = _mm512_set1_epi32((int)field);
+    uint64_t block = *first / 8 + 1;   /* the next block to compute */
+    uint64_t start = *first % 8;       /* the bit of bits[0] the next chain starts at */
+    uint64_t left = *chains, successes = 0;
+    uint64_t starts = 0, bits[4];
+    for (uint64_t h = 0; h < 64; h += k)
+        starts |= (uint64_t)1 << h;
+    philox16(block, k0, k1, fields, bits);
+    for (;;) {
+        philox16(block + 16, k0, k1, fields, bits + 2);
+        for (int i = 0; i < 2; i++) {
+            uint64_t begin = starts << start; /* the chains that start here */
+            uint64_t n = __builtin_popcountll(begin);
+            if (n > left)
+                goto done;
+            /* bit h of whole: the k halves from half h all pass */
+            u128 window = (u128)bits[i + 1] << 64 | bits[i];
+            uint64_t whole = bits[i];
+            for (uint64_t h = 1; h < k; h++)
+                whole &= (uint64_t)(window >> h);
+            successes += __builtin_popcountll(whole & begin);
+            left -= n;
+            block += 8;
+            /* the first chain to start in the next 64 halves */
+            start += n * k - 64;
+        }
+        bits[0] = bits[2];
+        bits[1] = bits[3];
+    }
+done:
+    *first = (block - 1) * 8 + start;
+    *chains = left;
+    return successes;
+}
+#endif
+
 /* A chain stops at its first failed stage, and the next chain starts
  * where the failed one would have ended. An even chain starts on a word
  * (the caller passes whole chains) and is tested k / 2 whole words at a
  * time against the field in both halves; an odd one is tested half by
- * half. */
+ * half. Where the CPU has the vector path, that counts chains of at
+ * most 8 halves first, and this loop the ones it leaves. */
 static uint64_t count_successes(uint64_t k0, uint64_t k1, uint64_t first_half,
                                 uint64_t chains, uint64_t k, uint32_t field)
 {
     uint64_t words[4], block = 0; /* the block in words; no stream block is 0 */
     uint64_t successes = 0;
+#ifdef VECTOR_SAMPLER
+    /* count_vector counts the chains of 64 halves at a time, at most 64
+     * of them: a call of fewer is left to this loop rather than have 32
+     * blocks computed for nothing */
+    if (vector_sampler && k <= 8 && chains >= 64)
+        successes = count_vector(k0, k1, &first_half, &chains, k, field);
+#endif
     if (k % 2 == 0) {
         uint64_t mask = (uint64_t)field << 32 | field;
         uint64_t w = first_half / 2;
@@ -622,6 +801,11 @@ static PyObject *spray_successes(PyObject *Py_UNUSED(self), PyObject *args)
     return PyLong_FromUnsignedLongLong(successes);
 }
 
+static PyObject *sampler(PyObject *Py_UNUSED(self), PyObject *Py_UNUSED(args))
+{
+    return PyUnicode_FromString(vector_sampler ? "avx512f" : "scalar");
+}
+
 static PyMethodDef methods[] = {
     {"parse", parse, METH_VARARGS,
      "parse(lines, live, first_line, events) -> the number of lines taken"},
@@ -632,6 +816,9 @@ static PyMethodDef methods[] = {
     {"spray_successes", spray_successes, METH_VARARGS,
      "spray_successes(k0, k1, first_half, chains, k, field) -> the chains "
      "that read the value back"},
+    {"sampler", sampler, METH_NOARGS,
+     "sampler() -> the path spray_successes takes on this CPU: \"avx512f\" or "
+     "\"scalar\""},
     {NULL, NULL, 0, NULL},
 };
 
@@ -646,6 +833,9 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC PyInit_kernels(void)
 {
     static const char *names[3] = {"alloc", "realloc", "free"};
+#ifdef VECTOR_SAMPLER
+    vector_sampler = cpu_has_vector();
+#endif
     for (int k = 0; k < 3; k++)
         if (kinds[k] == NULL && (kinds[k] = PyUnicode_InternFromString(names[k])) == NULL)
             return NULL;

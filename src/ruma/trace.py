@@ -44,11 +44,12 @@ match numpy's calls.
 The same module generates the whole trace when it loads, with the same
 words, picks and expressions, over ``ruma.philox``'s tables, and
 serializes the events at the head of a list that are plain tuples of
-the parser's kinds, ASCII ids and sizes below 2**64. The Python
-generator and serializer stay as the reference and as the only path
-without the module; the generator alone makes a trace whose size bounds
-or ``sigma`` a double cannot hold (2**53 and above), and the serializer
-writes every event from the first one the module leaves.
+the parser's kinds, ids of printable ASCII other than ``#`` and sizes
+below 2**64. The Python generator and serializer stay as the reference
+and as the only path without the module; the generator alone makes a
+trace whose size bounds or ``sigma`` a double cannot hold (2**53 and
+above), and the serializer writes, or names as unwritable, every event
+from the first one the module leaves.
 """
 
 from __future__ import annotations
@@ -173,11 +174,17 @@ def parse_trace(source, live=None, first_line: int = 1) -> list:
 
 
 def serialize_trace(events) -> str:
-    """Canonical text for an event list; inverse of :func:`parse_trace`.
-    The lines go into one buffer as they are made, so no list of a string
-    per event is held beside the text."""
+    """Canonical text for an event list, which :func:`parse_trace` reads
+    back as the same kinds, ids and sizes. Raises ``ValueError``, naming
+    the event's index in ``events``, for an event it cannot write so: an
+    id whose ``str`` is not one token (empty, or holding whitespace or
+    ``#``), or an alloc's or realloc's size that is not a non-negative
+    int (``None`` and ``True`` among them). A free's size is not written,
+    so it is not checked. The lines go into one buffer as they are made,
+    so no list of a string per event is held beside the text."""
     out = io.StringIO()
     write = out.write
+    taken = 0
     # the kernel writes what it can from the head; the loop writes the rest
     if isinstance(events, list) and (kernel := native.compiled()) is not None:
         head, taken = kernel.serialize(events)
@@ -185,9 +192,17 @@ def serialize_trace(events) -> str:
             return head
         write(head)
         events = islice(events, taken, None)
-    for kind, ident, size, _ in events:
+    for index, (kind, ident, size, _) in enumerate(events, taken):
         token = _TOKEN_BY_KIND[kind]
-        write(f"{token} {ident}\n" if kind == "free" else f"{token} {ident} {size}\n")
+        ident = str(ident)
+        if "#" in ident or ident.split() != [ident]:
+            raise ValueError(f"event {index}: id {ident!r} is not one token")
+        if kind == "free":
+            write(f"{token} {ident}\n")
+        elif isinstance(size, int) and not isinstance(size, bool) and size >= 0:
+            write(f"{token} {ident} {size}\n")
+        else:
+            raise ValueError(f"event {index}: size {size!r} is not a non-negative int")
     return out.getvalue()
 
 

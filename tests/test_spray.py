@@ -1,6 +1,13 @@
 """Spray attack model: shift reads, exact probabilities, sampling, intervals."""
 
+import importlib.util
 import itertools
+import os
+import platform
+import random
+import shutil
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -518,6 +525,79 @@ def test_the_kernel_restarts_on_a_high_half_between_calls():
     got = spray_module._native_successes(kernel, field, k, trials, 11)
     assert got == spray_module._numpy_successes(field, k, trials, 11)
     assert monte_carlo(sc, trials, seed=11).successes == got
+
+
+@needs_cc
+@pytest.mark.parametrize("k", range(1, 10))
+def test_the_kernel_counts_odd_sized_calls_of_each_short_chain(monkeypatch, k):
+    # calls of an odd 100,003 chains, so that calls start and end inside a
+    # block and inside a group of 8 blocks (at an odd k, on high halves
+    # too): where the CPU has the vector path, it takes chains of up to 8
+    # halves, and hands each call's tail to the scalar loop
+    monkeypatch.setattr(spray_module, "_NATIVE_CHAINS", 100_003)
+    sc = scenario(width=8, g=4, k=k)  # one stage in two reads the value back
+    field = stage_field(sc)
+    trials = 2 * 100_003 + 4321
+    expected = oracles.reference_monte_carlo(sc, trials, 21)
+    kernel = NATIVE_KERNEL()
+    assert spray_module._native_successes(kernel, field, k, trials, 21) == expected
+    assert spray_module._numpy_successes(field, k, trials, 21) == expected
+
+
+@pytest.fixture(scope="module")
+def scalar_kernel(tmp_path_factory):
+    """``kernels.c`` built a second time with the vector sampler compiled
+    out (``-DRUMA_SCALAR_SAMPLER``) and loaded beside the module ruma
+    uses, so that one host compares the two paths."""
+    include = native._include_dir()
+    cc = shutil.which("cc")
+    if cc is None or not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("no cc or no Python.h")
+    library = str(tmp_path_factory.mktemp("scalar") / "kernels.so")
+    subprocess.run(
+        [
+            cc, *native.FLAGS, "-DRUMA_SCALAR_SAMPLER", f"-I{include}",
+            os.path.join(native._SOURCES, "kernels.c"), "-o", library,
+        ],
+        capture_output=True, text=True, check=True,
+    )
+    spec = importlib.util.spec_from_file_location("kernels", library)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_vector_and_scalar_samplers_count_alike(scalar_kernel):
+    # every chain length the vector path takes and one it does not, calls
+    # of a few chains to a few thousand from anywhere in the stream, and
+    # the fields monte_carlo passes beside two that test low bits
+    kernel = NATIVE_KERNEL()
+    assert scalar_kernel.sampler() == "scalar"
+    fields = [1 << 31, 1 << 30, 3 << 30, 1 << 29, 3 << 29, 7 << 29, 1, 0x80000001]
+    rng = random.Random(37)
+    for _ in range(3000):
+        k = rng.randint(1, 9)
+        first = rng.randrange(1 << 24)
+        first -= first % 2 if k % 2 == 0 else 0  # an even chain starts on a word
+        chains = rng.choice((rng.randrange(20), rng.randrange(400), rng.randrange(5000)))
+        args = (rng.getrandbits(64), rng.getrandbits(64), first, chains, k,
+                rng.choice(fields))
+        assert kernel.spray_successes(*args) == scalar_kernel.spray_successes(*args), args
+
+
+@needs_cc
+def test_the_sampler_takes_the_vector_path_where_the_cpu_has_it():
+    sampler = NATIVE_KERNEL().sampler()
+    if platform.machine() != "x86_64" or sys.maxsize < 2**32:
+        assert sampler == "scalar"  # the vector path is not compiled
+        return
+    if not os.path.exists("/proc/cpuinfo"):
+        pytest.skip("no /proc/cpuinfo to read the CPU's flags from")
+    # Linux lists avx512f only where it saves the ZMM state too
+    with open("/proc/cpuinfo", encoding="utf-8") as handle:
+        flags = next(line for line in handle if line.startswith("flags")).split()
+    vector = "avx512f" in flags and "popcnt" in flags
+    assert sampler == ("avx512f" if vector else "scalar")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from collections import Counter, OrderedDict
 
 import numpy as np
@@ -216,6 +217,40 @@ def test_serialize_parse_round_trip_is_canonical_text():
     assert serialize_trace(parse_trace(text)) == "a 1 32\nf 1\na 2 8\n"
 
 
+@pytest.mark.parametrize(
+    "event, problem",
+    [
+        (("alloc", "2", None, 0), "size None is not a non-negative int"),
+        (("realloc", "1", -5, 0), "size -5 is not a non-negative int"),
+        (("alloc", "2", True, 0), "size True is not a non-negative int"),
+        (("alloc", "2", 8.0, 0), "size 8.0 is not a non-negative int"),
+        (("alloc", "a b", 8, 0), "id 'a b' is not one token"),
+        (("free", "", None, 0), "id '' is not one token"),
+        (("alloc", "a#b", 8, 0), "id 'a#b' is not one token"),
+        (("alloc", "a\tb", 8, 0), "id 'a\\tb' is not one token"),
+        (("alloc", "a\u00a0b", 8, 0), "id 'a\\xa0b' is not one token"),
+    ],
+    ids=[
+        "no-size", "negative-size", "bool-size", "float-size", "spaced-id", "empty-id",
+        "hash-id", "tab-id", "nbsp-id",
+    ],
+)
+@on_each_parse_path
+def test_serialize_names_an_event_that_would_not_parse_back(event, problem):
+    # each of these once became a line that parse_trace rejects, or reads
+    # as other tokens
+    events = [("alloc", "1", 8, 0), ("free", "1", None, 0), ("alloc", "1", 3, 0), event]
+    with pytest.raises(ValueError, match=f"^event 3: {re.escape(problem)}$"):
+        serialize_trace(events)
+    # a free's size is never written, and an id that is one token parses back
+    events[1:] = [("free", "1", -5, 0), ("alloc", "\u00e9\x7f", 0, 0)]
+    text = serialize_trace(events)
+    assert text == "a 1 8\nf 1\na \u00e9\x7f 0\n"
+    assert parse_trace(text) == [
+        ("alloc", "1", 8, 1), ("free", "1", None, 2), ("alloc", "\u00e9\x7f", 0, 3)
+    ]
+
+
 def _valid_events(choices):
     """Turn arbitrary drawn (op, id, size) triples into a valid trace."""
     live = set()
@@ -420,10 +455,15 @@ class _Size(int):
         [("".join(["al", "loc"]), "2", 8, 0)],  # equal to "alloc", not the same
         [("alloc", type("Id", (str,), {})("2"), 8, 0)],
         [("alloc", 2, 8, 0)],
+        [("alloc", "a b", 8, 0)],
+        [("alloc", "a#", 8, 0)],
+        [("alloc", "", 8, 0)],
+        [("alloc", "\x7f", 8, 0)],
     ],
     ids=[
         "non-ascii-id", "size-2**64", "negative-size", "bool-size", "int-subclass-size",
         "no-size", "list-event", "3-tuple", "equal-kind", "str-subclass-id", "int-id",
+        "spaced-id", "hash-id", "empty-id", "del-id",
     ],
 )
 def test_the_serialize_kernel_leaves_every_other_event_to_the_loop(kernel, tail):
@@ -440,9 +480,9 @@ def test_the_serialize_kernel_leaves_every_other_event_to_the_loop(kernel, tail)
 def test_the_serialize_kernel_writes_what_the_loop_writes(kernel):
     # a free's size is never written, so the kernel takes a free that
     # carries one; it takes nothing from a list subclass or another iterable
-    events = [*_HEAD, ("free", "x~", 12, 0), ("alloc", "a b", 5, 0)]
+    events = [*_HEAD, ("free", "x~", 12, 0), ("alloc", "!$", 5, 0)]
     text = _by_the_loops(serialize_trace, events)
-    assert text == "a 1 8\na x~ 0\nr 1 18446744073709551615\nf x~\na a b 5\n"
+    assert text == "a 1 8\na x~ 0\nr 1 18446744073709551615\nf x~\na !$ 5\n"
     assert kernel.serialize(events) == (text, len(events))
     assert serialize_trace(events) == text
     for other in (tuple(events), iter(events), type("Events", (list,), {})(events)):
