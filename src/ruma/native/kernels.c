@@ -63,9 +63,8 @@
  * them as the scalar loop judges it. A call of fewer than 64 chains, the
  * chains at a call's end that do not fill 64 halves, and every longer
  * chain, whose early stop can skip whole blocks, stay on the scalar
- * loop, which is the only path elsewhere (and where RUMA_SCALAR_SAMPLER
- * is defined, as a test builds it to compare the two). sampler() returns
- * the path taken: "avx512f" or "scalar".
+ * loop, which is the only path elsewhere. sampler() returns the path
+ * taken: "avx512f" or "scalar".
  *
  * The module calls nothing outside the interpreter, so the library needs
  * no symbol beyond Py* and _Py* ones: exp and log1p are the math
@@ -588,7 +587,7 @@ static PyObject *serialize(PyObject *Py_UNUSED(self), PyObject *events)
 /* 1 once PyInit_kernels has found that this CPU runs count_vector */
 static int vector_sampler;
 
-#if defined(__x86_64__) && !defined(RUMA_SCALAR_SAMPLER)
+#if defined(__x86_64__)
 #define VECTOR_SAMPLER 1
 #include <cpuid.h>
 #include <immintrin.h>
